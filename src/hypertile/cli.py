@@ -25,7 +25,7 @@ from .experiments import rational_json
 from .hgio import load_hg, save_hg, write_hg
 from .invariants import invariants, mycroft_threshold
 from .probes import (classify_goodness, count_connectors, extremal_witness,
-                     has_transferral, is_close, robust_vectors)
+                     has_transferral, robust_vectors)
 from .solver import copies_of_type, has_perfect_tiling, max_tiling
 
 
@@ -193,13 +193,13 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         return 0
     if args.probe == "close":
         pattern = load_hg(args.pattern)
-        close = is_close(host, pattern, args.x, args.y, args.i, args.eta,
-                         budget=args.budget)
+        if args.eta < 0:
+            raise ValidationError(f"eta must be nonnegative, got {args.eta}")
         count = count_connectors(host, pattern, args.x, args.y, args.i,
                                  budget=args.budget)
-        threshold = Fraction(args.eta) * host.n ** (pattern.n * args.i - 1)
+        threshold = args.eta * host.n ** (pattern.n * args.i - 1)
         _emit({
-            "close": close,
+            "close": count >= threshold,
             "count": count,
             "eta": rational_json(args.eta),
             "threshold": rational_json(threshold),
@@ -350,8 +350,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count; answers are identical for any value")
     p.add_argument("--claims", default=None,
                    help="comma-separated subset of claims to run")
     p.add_argument("--budget", type=int, default=None)
@@ -367,9 +365,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
-    if getattr(args, "threads", 1) < 1:
-        print("hypertile: error: --threads must be at least 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except BudgetExceededError as exc:

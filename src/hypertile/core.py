@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
 
@@ -269,8 +269,3 @@ def build(k: int, n: int, edges: Iterable[Iterable[int]] = ()) -> Hypergraph:
     if k < 2:
         raise ValidationError(f"uniformity must be at least 2, got {k}")
     return Hypergraph(k, n, edges)
-
-
-def iter_subsets(n: int, size: int) -> Iterator[VertexSet]:
-    """All size-subsets of 0..n-1 in lexicographic order."""
-    return itertools.combinations(range(n), size)

@@ -84,11 +84,6 @@ def closed_set(host: Hypergraph, pattern: Hypergraph, vertices: Iterable[int],
     return True
 
 
-def index_vector(partition: Partition, vertices: Iterable[int]) -> TypeVector:
-    """Intersection sizes of the vertex set with each part, in part order."""
-    return partition.index_vector(vertices)
-
-
 @dataclass(frozen=True)
 class RobustVectorReport:
     """Exact per-type copy-set counts and the mu-robust index vectors."""

@@ -7,14 +7,19 @@ single-threaded and deterministic: hosts, candidate subsets, and cover
 candidates are always iterated in ascending or lexicographic order, so the
 first witness found is a stable function of the input.
 
-Pattern structure is analysed once per pattern and cached.  Complete
-multipartite patterns are matched by assigning host vertices to parts;
-patterns made of t disjoint (k-1)-sets joined to a common core are matched
-by core/leaf splits; everything else falls back to a pruned backtracking
-embedding search.  For 3-graph patterns that are complete 3-partite with a
-singleton part, whole-host copy search decomposes through vertex links:
-a copy exists at v exactly when the link 2-graph of v contains a complete
-bipartite subgraph of the right part sizes.
+Pattern structure is analysed once per pattern and cached, and a copy is
+found by one of two searches.  Copy sets of complete multipartite patterns
+are matched by a partition scan: the set's vertices, in increasing order,
+each join the first part (parts sorted by size) that still has room, and
+the witness is the first assignment whose transversals are all host edges.
+Every other search, whole-host or spanning, is an ordered bitset embedder:
+pattern vertices are placed in a fixed order (one vertex per part in turn
+for complete partite patterns, the core then the leaf groups for K_{s,t}
+shapes, most-constrained first otherwise), the candidates for the next one
+are the free vertices ANDed with the host's link bitset of every (k-1)-set
+it closes, and twins (vertices whose swap is an automorphism) take
+increasing images.  Candidates are tried in increasing order, so the
+witness is the lexicographically first embedding read in that order.
 """
 
 from __future__ import annotations
@@ -81,12 +86,10 @@ class CopySetEnumeration:
 
 @dataclass(frozen=True)
 class _Plan:
-    kind: str                                   # "partite" | "kst" | "generic"
-    parts: tuple[VertexSet, ...] = ()           # partite: parts sorted by size
-    core: VertexSet = ()                        # kst: the common core
-    groups: tuple[VertexSet, ...] = ()          # kst: the disjoint leaf groups
-    order: tuple[int, ...] = ()                 # generic: backtracking order
-    degrees: tuple[int, ...] = ()
+    parts: tuple[VertexSet, ...] | None   # complete partite: parts sorted by size
+    order: tuple[int, ...]                # placement order of the pattern vertices
+    checks: tuple[tuple[VertexSet, ...], ...]  # per position: the (k-1)-sets it closes
+    twin: tuple[int, ...]                 # per position: nearest earlier twin's position, or -1
 
 
 def _partite_parts(pattern: Hypergraph) -> tuple[VertexSet, ...] | None:
@@ -104,7 +107,6 @@ def _partite_parts(pattern: Hypergraph) -> tuple[VertexSet, ...] | None:
 
 def _kst_shape(pattern: Hypergraph) -> tuple[VertexSet, tuple[VertexSet, ...]] | None:
     """Core and leaf groups if the pattern is a K_{s,t} shape, else None."""
-    k = pattern.k
     if pattern.edge_count == 0:
         return None
     for anchor in range(pattern.n):
@@ -147,20 +149,53 @@ def _generic_order(pattern: Hypergraph) -> tuple[int, ...]:
     return tuple(placed)
 
 
+def _are_twins(pattern: Hypergraph, u: int, v: int) -> bool:
+    """Whether swapping u and v maps the pattern's edge set onto itself."""
+    swap = {u: v, v: u}
+    edge_set = pattern.edge_set()
+    return all(tuple(sorted(swap.get(w, w) for w in e)) in edge_set
+               for e in pattern.edges)
+
+
 @lru_cache(maxsize=256)
 def _plan(pattern: Hypergraph) -> _Plan:
-    degrees = [0] * pattern.n
-    for e in pattern.edges:
-        for v in e:
-            degrees[v] += 1
     parts = _partite_parts(pattern)
     if parts is not None:
-        return _Plan(kind="partite", parts=parts, degrees=tuple(degrees))
-    shape = _kst_shape(pattern)
-    if shape is not None:
+        # One vertex per part in turn, so edges close as early as they can.
+        order = tuple(p[i] for i in range(max(map(len, parts)))
+                      for p in parts if i < len(p))
+    elif (shape := _kst_shape(pattern)) is not None:
         core, groups = shape
-        return _Plan(kind="kst", core=core, groups=groups, degrees=tuple(degrees))
-    return _Plan(kind="generic", order=_generic_order(pattern), degrees=tuple(degrees))
+        order = core + tuple(v for g in groups for v in g)
+    else:
+        order = _generic_order(pattern)
+    # An edge is checked once its last vertex (in placement order) lands.
+    position = {v: i for i, v in enumerate(order)}
+    checks: list[list[VertexSet]] = [[] for _ in order]
+    for e in pattern.edges:
+        last = max(e, key=position.__getitem__)
+        checks[position[last]].append(tuple(u for u in e if u != last))
+    # Twins fall into swap classes; increasing images within a class keep
+    # one embedding per copy, and the lexicographically first one survives.
+    twin = [next((j for j in range(i - 1, -1, -1)
+                  if _are_twins(pattern, order[j], v)), -1)
+            for i, v in enumerate(order)]
+    return _Plan(parts, order, tuple(map(tuple, checks)), tuple(twin))
+
+
+@lru_cache(maxsize=8)
+def _links(host: Hypergraph) -> dict[int, int]:
+    """Bitmask of each (k-1)-set (one that lies in an edge) to the bitmask
+    of the vertices that complete it to an edge."""
+    links: dict[int, int] = {}
+    for e in host.edges:
+        full = 0
+        for v in e:
+            full |= 1 << v
+        for v in e:
+            key = full ^ (1 << v)
+            links[key] = links.get(key, 0) | (1 << v)
+    return links
 
 
 def _check_pair(host: Hypergraph, pattern: Hypergraph) -> None:
@@ -169,7 +204,47 @@ def _check_pair(host: Hypergraph, pattern: Hypergraph) -> None:
             f"uniformity mismatch: host is {host.k}-uniform, pattern {pattern.k}-uniform")
 
 
-# -- whole-host copy search -------------------------------------------------
+# -- ordered bitset embedding -------------------------------------------------
+
+
+def _embed(host: Hypergraph, pattern: Hypergraph, domain_mask: int) -> Embedding | None:
+    """First embedding into the domain's vertices, read in the plan's order.
+
+    Pattern vertices are placed in plan order.  The candidates for the next
+    one are the free domain vertices, ANDed with the link of every (k-1)-set
+    its placement closes, and kept only above its nearest earlier twin's
+    image; they are tried in increasing order.  The result is therefore the
+    lexicographically first embedding, read in plan order.
+    """
+    plan = _plan(pattern)
+    link = _links(host).get
+    order, checks, twin = plan.order, plan.checks, plan.twin
+    bits = [0] * pattern.n                      # 1 << image, per placed vertex
+
+    def place(pos: int, free: int) -> bool:
+        candidates = free
+        for others in checks[pos]:
+            key = 0
+            for u in others:
+                key |= bits[u]
+            candidates &= link(key, 0)
+            if not candidates:
+                return False
+        if twin[pos] >= 0:
+            candidates &= -(bits[order[twin[pos]]] << 1)
+        fv = order[pos]
+        last = pos + 1 == len(order)
+        while candidates:
+            low = candidates & -candidates
+            bits[fv] = low
+            if last or place(pos + 1, free ^ low):
+                return True
+            candidates ^= low
+        return False
+
+    if place(0, domain_mask):
+        return Embedding(tuple(b.bit_length() - 1 for b in bits))
+    return None
 
 
 def contains_copy(host: Hypergraph, pattern: Hypergraph) -> Embedding | None:
@@ -182,95 +257,7 @@ def contains_copy(host: Hypergraph, pattern: Hypergraph) -> Embedding | None:
         return None
     if pattern.edge_count == 0:
         return Embedding(tuple(range(pattern.n)))
-    plan = _plan(pattern)
-    if (plan.kind == "partite" and host.k == 3 and len(plan.parts) == 3
-            and len(plan.parts[0]) == 1):
-        return _find_singleton_partite(host, plan.parts)
-    return _backtrack_embed(host, pattern, range(host.n))
-
-
-def _find_singleton_partite(host: Hypergraph,
-                            parts: tuple[VertexSet, ...]) -> Embedding | None:
-    """Link decomposition for complete 3-partite patterns with a singleton part.
-
-    For each host vertex v, search the link 2-graph of v for a complete
-    bipartite subgraph with the two remaining part sizes.
-    """
-    a, b = len(parts[1]), len(parts[2])
-    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(host.n)]
-    for e in host.edges:
-        for v in e:
-            incident[v].append(e)
-    for v in range(host.n):
-        if len(incident[v]) < a * b:
-            continue
-        adj = [0] * host.n
-        for e in incident[v]:
-            x, y = (u for u in e if u != v)
-            adj[x] |= 1 << y
-            adj[y] |= 1 << x
-        left_candidates = [u for u in range(host.n) if adj[u].bit_count() >= b]
-        for left in itertools.combinations(left_candidates, a):
-            common = ~0
-            for u in left:
-                common &= adj[u]
-            for u in left:
-                common &= ~(1 << u)
-            if common.bit_count() >= b:
-                right: list[int] = []
-                rest = common
-                while len(right) < b:
-                    low = rest & -rest
-                    right.append(low.bit_length() - 1)
-                    rest ^= low
-                images = [0] * (1 + a + b)
-                images[parts[0][0]] = v
-                for fv, hv in zip(parts[1], left):
-                    images[fv] = hv
-                for fv, hv in zip(parts[2], right):
-                    images[fv] = hv
-                return Embedding(tuple(images))
-    return None
-
-
-def _backtrack_embed(host: Hypergraph, pattern: Hypergraph,
-                     hosts: Sequence[int]) -> Embedding | None:
-    """Pruned injective embedding search over the given host vertices."""
-    plan = _plan(pattern)
-    order = plan.order if plan.order else _generic_order(pattern)
-    host_degrees = [0] * host.n
-    for e in host.edges:
-        for v in e:
-            host_degrees[v] += 1
-    # Edges become checkable once their last vertex (in search order) lands.
-    position = {v: i for i, v in enumerate(order)}
-    checks: list[list[tuple[int, ...]]] = [[] for _ in order]
-    for e in pattern.edges:
-        checks[max(position[v] for v in e)].append(e)
-    edge_set = host.edge_set()
-    images = [-1] * pattern.n
-    used: set[int] = set()
-
-    def place(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        fv = order[pos]
-        for hv in hosts:
-            if hv in used or plan.degrees[fv] > host_degrees[hv]:
-                continue
-            images[fv] = hv
-            if all(tuple(sorted(images[u] for u in e)) in edge_set
-                   for e in checks[pos]):
-                used.add(hv)
-                if place(pos + 1):
-                    return True
-                used.discard(hv)
-            images[fv] = -1
-        return False
-
-    if place(0):
-        return Embedding(tuple(images))
-    return None
+    return _embed(host, pattern, (1 << host.n) - 1)
 
 
 # -- spanning copies and copy-set enumeration --------------------------------
@@ -308,54 +295,16 @@ def _partitions_with_sizes(elems: VertexSet,
 def _spans(host: Hypergraph, pattern: Hypergraph, subset: VertexSet) -> Embedding | None:
     """Witness embedding of the pattern onto exactly the given vertex set."""
     plan = _plan(pattern)
+    if plan.parts is None:
+        return _embed(host, pattern, sum(1 << v for v in subset))
     edge_set = host.edge_set()
-    if plan.kind == "partite":
-        sizes = tuple(len(p) for p in plan.parts)
-        for assignment in _partitions_with_sizes(subset, sizes):
-            if all(tuple(sorted(combo)) in edge_set
-                   for combo in itertools.product(*assignment)):
-                images = [-1] * pattern.n
-                for fpart, hpart in zip(plan.parts, assignment):
-                    for fv, hv in zip(fpart, hpart):
-                        images[fv] = hv
-                return Embedding(tuple(images))
-        return None
-    if plan.kind == "kst":
-        return _spans_kst(host, pattern, subset, plan)
-    return _backtrack_embed(host, pattern, subset)
-
-
-def _spans_kst(host: Hypergraph, pattern: Hypergraph, subset: VertexSet,
-               plan: _Plan) -> Embedding | None:
-    k = pattern.k
-    s = len(plan.core)
-    edge_set = host.edge_set()
-    for core_img in itertools.combinations(subset, s):
-        core_set = set(core_img)
-        rest = tuple(v for v in subset if v not in core_set)
-        candidates = [g for g in itertools.combinations(rest, k - 1)
-                      if all(tuple(sorted(g + (y,))) in edge_set for y in core_img)]
-        chosen: list[tuple[int, ...]] = []
-
-        def cover(remaining: tuple[int, ...]) -> bool:
-            if not remaining:
-                return True
-            head = remaining[0]
-            rem_set = set(remaining)
-            for g in candidates:
-                if head in g and rem_set.issuperset(g):
-                    chosen.append(g)
-                    if cover(tuple(v for v in remaining if v not in g)):
-                        return True
-                    chosen.pop()
-            return False
-
-        if cover(rest):
+    sizes = tuple(len(p) for p in plan.parts)
+    for assignment in _partitions_with_sizes(subset, sizes):
+        if all(tuple(sorted(combo)) in edge_set
+               for combo in itertools.product(*assignment)):
             images = [-1] * pattern.n
-            for fv, hv in zip(plan.core, core_img):
-                images[fv] = hv
-            for fgroup, hgroup in zip(plan.groups, chosen):
-                for fv, hv in zip(fgroup, hgroup):
+            for fpart, hpart in zip(plan.parts, assignment):
+                for fv, hv in zip(fpart, hpart):
                     images[fv] = hv
             return Embedding(tuple(images))
     return None

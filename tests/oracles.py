@@ -117,6 +117,34 @@ def block_tiling_exists(n: int, host_edges, pat_n: int, pat_edges) -> bool:
     return rec(frozenset(range(n)))
 
 
+def copy_exists(n: int, host_edges, pat_n: int, pat_edges) -> bool:
+    """Whether some injective map of the pattern into range(n) keeps every
+    pattern edge a host edge, by trying all of them."""
+    eset = {frozenset(e) for e in host_edges}
+    return any(all(frozenset(images[v] for v in e) in eset for e in pat_edges)
+               for images in itertools.permutations(range(n), pat_n))
+
+
+def first_witness(host_edges, pat_edges, vertex_set, order, partite: bool):
+    """The witness rule for copy sets, by brute force over bijections.
+
+    Returns images[v] for each pattern vertex v in 0..len(vertex_set)-1, or
+    None when no bijection onto vertex_set keeps every pattern edge a host
+    edge.  With partite=True, `order` lists the pattern vertices part after
+    part, and the witness is the first bijection in which the set's
+    vertices, in increasing order, each take the earliest pattern vertex of
+    `order` they can.  Otherwise the witness is the lexicographically first
+    tuple of images, read in the vertex order `order`.
+    """
+    eset = {frozenset(e) for e in host_edges}
+    vs = sorted(vertex_set)
+    for perm in itertools.permutations(order if partite else vs):
+        images = dict(zip(perm, vs)) if partite else dict(zip(order, perm))
+        if all(frozenset(images[v] for v in e) in eset for e in pat_edges):
+            return tuple(images[v] for v in range(len(vs)))
+    return None
+
+
 def c4_free_max_edges(n: int) -> int:
     """ex(n, K(2,2)) by scanning every graph on n vertices.  Usable for n <= 6."""
     pairs = list(itertools.combinations(range(n), 2))

@@ -268,7 +268,7 @@ def test_criterion_09_probe_exactness():
 
 
 def test_criterion_10_verify_determinism():
-    cmd = [sys.executable, "-m", "hypertile.cli", "verify", "--threads", "1"]
+    cmd = [sys.executable, "-m", "hypertile.cli", "verify"]
     first = subprocess.run(cmd, capture_output=True)
     second = subprocess.run(cmd, capture_output=True)
     identical = first.stdout == second.stdout

@@ -178,6 +178,40 @@ def test_probe_connectors(capsys, tmp_path):
     assert code == 0 and doc["close"] is True and doc["count"] == 9
 
 
+def test_probe_close_counts_connectors_once(capsys, tmp_path, monkeypatch):
+    import hypertile.cli as cli
+    import hypertile.probes as probes
+    from fractions import Fraction
+    from hypertile import count_connectors, is_close
+    host = write_pattern(tmp_path, "k333.hg", 3, 9,
+                         [(a, b, c) for a in range(3)
+                          for b in range(3, 6) for c in range(6, 9)])
+    pattern = write_pattern(tmp_path, "edge.hg", 3, 3, [(0, 1, 2)])
+    g, f = load_hg(host), load_hg(pattern)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return count_connectors(*args, **kwargs)
+
+    # every binding a CLI path could reach, so a count via is_close shows too
+    monkeypatch.setattr(cli, "count_connectors", counted)
+    monkeypatch.setattr(probes, "count_connectors", counted)
+    argv = ["probe", "close", host, "--pattern", pattern, "-x", "0", "-y", "1"]
+    # 9 connectors against thresholds 9 and 81/8
+    for eta, close in (("1/9", True), ("1/8", False)):
+        calls.clear()
+        code, out, _ = run(capsys, argv + ["--eta", eta])
+        doc = json.loads(out)
+        assert code == 0 and len(calls) == 1
+        assert doc["count"] == count_connectors(g, f, 0, 1, 1) == 9
+        assert doc["close"] is close is is_close(g, f, 0, 1, 1, Fraction(eta))
+    calls.clear()
+    code, out, err = run(capsys, argv + ["--eta=-1/9"])
+    assert code == 1 and out == "" and "eta must be nonnegative" in err
+    assert calls == []
+
+
 def test_probe_robust_and_transferral(capsys, tmp_path, b75_path):
     pattern = write_pattern(tmp_path, "edge.hg", 3, 3, [(0, 1, 2)])
     parts = tmp_path / "parts.json"

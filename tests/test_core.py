@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import hypergraphs
 from hypertile import Partition, build, vertex_set
-from hypertile.core import iter_subsets
 from hypertile.errors import ValidationError
 
 
@@ -143,8 +142,3 @@ def test_vertex_set_sorts_and_rejects_repeats():
     assert vertex_set([3, 1, 2]) == (1, 2, 3)
     with pytest.raises(ValidationError):
         vertex_set([1, 1])
-
-
-def test_iter_subsets():
-    assert list(iter_subsets(4, 2)) == [
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

@@ -17,7 +17,6 @@ from hypertile import (
     extremal_witness,
     gamma_contains,
     has_transferral,
-    index_vector,
     is_close,
     robust_vectors,
 )
@@ -94,11 +93,6 @@ def test_closed_set():
     assert not closed_set(K333, EDGE, (0, 3), 1, Fraction(1, 100))
     with pytest.raises(ValidationError):
         closed_set(K333, EDGE, (0, 99), 1, 0)
-
-
-def test_index_vector_helper():
-    p = Partition([range(0, 3), range(3, 9)], 9)
-    assert index_vector(p, (0, 4, 5)) == (1, 2)
 
 
 def test_robust_vectors_fixture():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ K112 = complete_k_partite((1, 1, 2)).graph
 K122 = complete_k_partite((1, 2, 2)).graph
 C4 = k_st(3, 2, 2).graph
 B75 = barrier_graph(7, 5).graph
+TIGHT_PATH = build(3, 5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
 
 
 def complete_3graph(n: int):
@@ -74,6 +76,64 @@ def test_enumerate_copy_sets_witnesses_verify():
         assert tuple(sorted(emb.images)) == vs
         for e in C4.edges:
             assert B75.has_edge(tuple(emb.images[v] for v in e))
+
+
+def _random_host(k, n, p, seed):
+    rng = random.Random(seed)
+    return build(k, n, [e for e in itertools.combinations(range(n), k)
+                        if rng.random() < p])
+
+
+# (pattern, order, partite): complete partite patterns list their parts in
+# size order; the others list the search order (K_{s,t} shapes put the core
+# first, then the leaf groups; the tight path is most-constrained first)
+WITNESS_CASES = (
+    (K122, (0, 1, 2, 3, 4), True),
+    (K222, (0, 1, 2, 3, 4, 5), True),
+    (C4, (4, 5, 0, 1, 2, 3), False),
+    (k_st(3, 2, 3).graph, (6, 7, 0, 1, 2, 3, 4, 5), False),
+    (TIGHT_PATH, (2, 1, 3, 0, 4), False),
+)
+
+
+@pytest.mark.parametrize("pattern,order,partite", WITNESS_CASES)
+def test_copy_set_witnesses_follow_the_witness_rule(pattern, order, partite):
+    # tile certificates print these witnesses, so the rule is part of the
+    # byte-stable output
+    seen = 0
+    for seed in range(3):
+        host = _random_host(3, pattern.n + 2, 0.75, seed)
+        enum = enumerate_copy_sets(host, pattern)
+        for vs in enum.sets:
+            expected = oracles.first_witness(host.edges, pattern.edges, vs,
+                                             order, partite)
+            assert enum.witnesses[vs].images == expected
+        seen += len(enum.sets)
+    assert seen > 0
+
+
+COPY_CASES = (
+    K122,                                                  # complete partite
+    C4,                                                    # K_{s,t} shape
+    TIGHT_PATH,                                            # generic
+    build(2, 4, [(0, 1), (1, 2), (2, 3)]),                 # k = 2 path
+    build(4, 6, [(0, 1, 2, 3), (2, 3, 4, 5)]),             # k = 4
+)
+
+
+@pytest.mark.parametrize("pattern", COPY_CASES)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_contains_copy_agrees_with_brute_force(pattern, data):
+    g = data.draw(hypergraphs(k=pattern.k, min_n=pattern.n, max_n=pattern.n + 1))
+    emb = contains_copy(g, pattern)
+    assert (emb is not None) == oracles.copy_exists(g.n, g.edges, pattern.n,
+                                                    pattern.edges)
+    if emb is not None:
+        assert len(set(emb.images)) == pattern.n
+        assert all(0 <= v < g.n for v in emb.images)
+        for e in pattern.edges:
+            assert g.has_edge(tuple(emb.images[v] for v in e))
 
 
 def test_enumerate_copy_sets_limit_and_budget():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -252,10 +253,9 @@ def _claim_mirrored_free(budget: int | None) -> tuple[bool, dict]:
         base = set(c.part("base"))
         free = contains_copy(g, pattern) is None
         sides_ok = all(sum(1 for v in e if v in base) == 2 for e in g.edges)
-        mixed_min = min(
-            (g.degree((u, w)) for u in c.part("base") for w in c.part("mirror")),
-            default=0,
-        )
+        codegree = Counter(p for e in g.edges for p in itertools.combinations(e, 2))
+        mixed_min = min((codegree[min(u, w), max(u, w)] for u in c.part("base")
+                         for w in c.part("mirror")), default=0)
         per_q[str(q)] = {
             "vertices": g.n,
             "edges": g.edge_count,

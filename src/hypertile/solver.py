@@ -20,6 +20,12 @@ are the free vertices ANDed with the host's link bitset of every (k-1)-set
 it closes, and twins (vertices whose swap is an automorphism) take
 increasing images.  Candidates are tried in increasing order, so the
 witness is the lexicographically first embedding read in that order.
+
+Tilings are searched over one table of the host's copy sets: each set's
+vertex bitmask and, per vertex, a column: the bitset of the sets through
+it.  The exact cover and max tiling carry one bitset of the live sets
+(those disjoint from every chosen one), so a vertex's live count is an AND
+and a popcount, and choosing a set clears the columns of its vertices.
 """
 
 from __future__ import annotations
@@ -344,48 +350,87 @@ def enumerate_copy_sets(host: Hypergraph, pattern: Hypergraph,
 # -- exact cover -------------------------------------------------------------
 
 
-def _exact_cover_first(n: int, masks: Sequence[int],
-                       by_vertex: Sequence[Sequence[int]]) -> list[int] | None:
-    """First exact cover under the fail-first column rule.
-
-    Branch vertex: fewest remaining candidate sets, ties to the smallest
-    vertex id; candidates tried in lexicographic (input) order.
-    """
+def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
+                       cols: Sequence[int]) -> list[int] | None:
+    """First exact cover under the fail-first column rule: branch on the
+    uncovered vertex v with the fewest live candidates, counted as
+    `(live & cols[v]).bit_count()`, ties to the smallest id, failing at once
+    on a vertex with none; try them in ascending index (input) order."""
     chosen: list[int] = []
 
-    def cover(uncovered: int) -> bool:
+    def cover(uncovered: int, live: int) -> bool:
         if uncovered == 0:
             return True
-        best: list[int] | None = None
+        best, best_count = -1, len(sets) + 1
         scan = uncovered
         while scan:
             v = (scan & -scan).bit_length() - 1
             scan &= scan - 1
-            alive = [ci for ci in by_vertex[v] if masks[ci] & ~uncovered == 0]
-            if not alive:
+            count = (live & cols[v]).bit_count()
+            if count == 0:
                 return False
-            if best is None or len(alive) < len(best):
-                best = alive
-        assert best is not None
-        for ci in best:
+            if count < best_count:
+                best, best_count = v, count
+        options = live & cols[best]
+        while options:
+            low = options & -options
+            ci = low.bit_length() - 1
+            touching = 0
+            for u in sets[ci]:
+                touching |= cols[u]
             chosen.append(ci)
-            if cover(uncovered & ~masks[ci]):
+            if cover(uncovered ^ masks[ci], live ^ (live & touching)):
                 return True
             chosen.pop()
+            options ^= low
         return False
 
-    if cover((1 << n) - 1 if n else 0):
+    if cover((1 << len(cols)) - 1, (1 << len(sets)) - 1):
         return chosen
     return None
 
 
-def _candidate_tables(n: int, sets: Sequence[VertexSet]) -> tuple[list[int], list[list[int]]]:
+def _max_packing_first(sets: Sequence[VertexSet], masks: Sequence[int],
+                       cols: Sequence[int], t: int) -> list[int]:
+    """Largest disjoint family of the t-sets, by branch and bound on the
+    smallest available vertex: each live candidate through it in ascending
+    index order, then leaving it uncovered.  A node is cut when covering
+    every available vertex could not beat the incumbent, which also ends
+    the search when nothing is available."""
+    best: list[int] = []
+    current: list[int] = []
+
+    def search(available: int, live: int) -> None:
+        nonlocal best
+        if len(current) > len(best):
+            best = list(current)
+        if len(current) + available.bit_count() // t <= len(best):
+            return
+        v = (available & -available).bit_length() - 1
+        through = options = live & cols[v]
+        while options:
+            low = options & -options
+            ci = low.bit_length() - 1
+            touching = 0
+            for u in sets[ci]:
+                touching |= cols[u]
+            current.append(ci)
+            search(available ^ masks[ci], live ^ (live & touching))
+            current.pop()
+            options ^= low
+        search(available ^ (1 << v), live ^ through)
+
+    search((1 << len(cols)) - 1, (1 << len(sets)) - 1)
+    return best
+
+
+def _candidate_tables(n: int, sets: Sequence[VertexSet]) -> tuple[list[int], list[int]]:
     masks = [sum(1 << v for v in s) for s in sets]
-    by_vertex: list[list[int]] = [[] for _ in range(n)]
+    cols = [bytearray((len(sets) + 7) // 8) for _ in range(n)]
     for ci, s in enumerate(sets):
         for v in s:
-            by_vertex[v].append(ci)
-    return masks, by_vertex
+            cols[v][ci >> 3] |= 1 << (ci & 7)
+    return masks, [int.from_bytes(c, "little") for c in cols]
 
 
 def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
@@ -403,8 +448,7 @@ def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
     if host.n == 0:
         return TilingOutcome(TilingCertificate((), ()), REASON_FOUND)
     enum = enumerate_copy_sets(host, pattern, budget=budget)
-    masks, by_vertex = _candidate_tables(host.n, enum.sets)
-    solution = _exact_cover_first(host.n, masks, by_vertex)
+    solution = _exact_cover_first(enum.sets, *_candidate_tables(host.n, enum.sets))
     if solution is None:
         return TilingOutcome(None, REASON_EXHAUSTED)
     embeddings = tuple(enum.witnesses[enum.sets[ci]] for ci in solution)
@@ -413,38 +457,13 @@ def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
 
 def max_tiling(host: Hypergraph, pattern: Hypergraph,
                budget: int | None = None) -> tuple[int, TilingCertificate]:
-    """Largest vertex-disjoint family of pattern copies, by branch and bound.
-
-    Branches on the smallest undecided vertex (cover it with each candidate
-    in lexicographic order, then leave it uncovered); prunes when even
-    covering every remaining vertex cannot beat the incumbent.
-    """
+    """Largest vertex-disjoint family of pattern copies, by branch and bound
+    over the copy sets (see `_max_packing_first`)."""
     _check_pair(host, pattern)
     if pattern.n == 0:
         raise ValidationError("pattern has no vertices")
     enum = enumerate_copy_sets(host, pattern, budget=budget)
-    masks, by_vertex = _candidate_tables(host.n, enum.sets)
-    t = pattern.n
-    best: list[int] = []
-    current: list[int] = []
-
-    def search(available: int) -> None:
-        nonlocal best
-        if len(current) > len(best):
-            best = list(current)
-        if available == 0:
-            return
-        if len(current) + available.bit_count() // t <= len(best):
-            return
-        v = (available & -available).bit_length() - 1
-        for ci in by_vertex[v]:
-            if masks[ci] & ~available == 0:
-                current.append(ci)
-                search(available & ~masks[ci])
-                current.pop()
-        search(available & ~(1 << v))
-
-    search((1 << host.n) - 1 if host.n else 0)
+    best = _max_packing_first(enum.sets, *_candidate_tables(host.n, enum.sets), pattern.n)
     embeddings = tuple(enum.witnesses[enum.sets[ci]] for ci in best)
     covered = vertex_set(v for ci in best for v in enum.sets[ci])
     return len(best), TilingCertificate(embeddings, covered)

@@ -145,6 +145,63 @@ def first_witness(host_edges, pat_edges, vertex_set, order, partite: bool):
     return None
 
 
+def first_cover(n: int, sets):
+    """The first exact cover of range(n) by the given sets, as indices.
+
+    The fail-first rule, rebuilt from scratch at every node: branch on the
+    uncovered vertex with the fewest sets inside the uncovered part (ties
+    to the smallest vertex; a vertex with none fails the node at once), and
+    try its sets in index order.  None when no exact cover exists.
+    """
+    blocks = [frozenset(s) for s in sets]
+
+    def cover(uncovered: frozenset):
+        if not uncovered:
+            return []
+        best = None
+        for v in sorted(uncovered):
+            alive = [i for i, b in enumerate(blocks) if v in b and b <= uncovered]
+            if not alive:
+                return None
+            if best is None or len(alive) < len(best):
+                best = alive
+        for i in best:
+            rest = cover(uncovered - blocks[i])
+            if rest is not None:
+                return [i] + rest
+        return None
+
+    return cover(frozenset(range(n)))
+
+
+def first_max_packing(n: int, sets, t: int):
+    """The largest family of disjoint sets that branch and bound finds first.
+
+    Branch on the smallest available vertex: take each set that contains it
+    and lies in the available part, in index order, then leave the vertex
+    out.  A family replaces the incumbent only when strictly larger, and a
+    node is cut when even t-sized sets over every available vertex could
+    not beat the incumbent.  Returns the family's indices in choice order.
+    """
+    blocks = [frozenset(s) for s in sets]
+    best: list = []
+
+    def search(available: frozenset, current: list) -> None:
+        nonlocal best
+        if len(current) > len(best):
+            best = list(current)
+        if not available or len(current) + len(available) // t <= len(best):
+            return
+        v = min(available)
+        for i, b in enumerate(blocks):
+            if v in b and b <= available:
+                search(available - b, current + [i])
+        search(available - {v}, current)
+
+    search(frozenset(range(n)), [])
+    return best
+
+
 def c4_free_max_edges(n: int) -> int:
     """ex(n, K(2,2)) by scanning every graph on n vertices.  Usable for n <= 6."""
     pairs = list(itertools.combinations(range(n), 2))

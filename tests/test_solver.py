@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import hypergraphs
@@ -18,7 +18,8 @@ from hypertile import (
     max_tiling,
     verify_certificate,
 )
-from hypertile.solver import copies_of_type
+from hypertile.solver import (_candidate_tables, _exact_cover_first,
+                              _max_packing_first, copies_of_type)
 from hypertile.errors import BudgetExceededError, ValidationError
 
 EDGE = build(3, 3, [(0, 1, 2)])
@@ -218,6 +219,73 @@ def test_max_tiling_saturates_on_perfect_instances():
     size, cert = max_tiling(host, K222)
     assert size == 2
     assert verify_certificate(host, K222, cert, require_perfect=True)
+
+
+@st.composite
+def set_systems(draw, max_n: int = 9):
+    """(n, t, sets): t-subsets of range(n) in lexicographic order, as copy
+    sets come; half the time they include a planted exact cover, so that
+    covers exist and the branch order decides which one comes first."""
+    n = draw(st.integers(0, max_n))
+    t = draw(st.integers(1, 3))
+    pool = list(itertools.combinations(range(n), t))
+    sets = set(draw(st.lists(st.sampled_from(pool), max_size=24)) if pool else [])
+    if n % t == 0 and draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        sets.update(tuple(sorted(order[i:i + t])) for i in range(0, n, t))
+    return n, t, sorted(sets)
+
+
+COVER_EXAMPLES = (
+    (0, 1, []),                                  # no vertices
+    (4, 2, []),                                  # no candidates at all
+    (4, 2, [(0, 1), (1, 2)]),                    # vertex 3 in no candidate
+    # every vertex has two candidates, so the tie-break picks the cover
+    (6, 3, [(0, 1, 2), (0, 3, 4), (1, 2, 5), (3, 4, 5)]),
+)
+
+
+def _with_examples(test):
+    for case in COVER_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=300)
+@_with_examples
+@given(set_systems())
+def test_exact_cover_matches_the_oracle_rule(system):
+    n, _, sets = system
+    got = _exact_cover_first(sets, *_candidate_tables(n, sets))
+    assert got == oracles.first_cover(n, sets)
+
+
+@settings(max_examples=300)
+@_with_examples
+@given(set_systems())
+def test_max_packing_matches_the_oracle_rule(system):
+    n, t, sets = system
+    got = _max_packing_first(sets, *_candidate_tables(n, sets), t)
+    assert got == oracles.first_max_packing(n, sets, t)
+
+
+@settings(max_examples=40)
+@given(hypergraphs(min_n=4, max_n=8))
+def test_tiling_searches_return_the_oracle_families(g):
+    # end to end: the certificates list the oracle's copy sets, in its order
+    for pattern in (EDGE, K112):
+        sets = enumerate_copy_sets(g, pattern).sets
+        out = has_perfect_tiling(g, pattern)
+        expected = oracles.first_cover(g.n, sets)
+        if out.reason == "divisibility" or expected is None:
+            assert not out.found
+        else:
+            assert [e.vertex_set for e in out.certificate.embeddings] == \
+                [sets[i] for i in expected]
+        size, cert = max_tiling(g, pattern)
+        expected = oracles.first_max_packing(g.n, sets, pattern.n)
+        assert [e.vertex_set for e in cert.embeddings] == [sets[i] for i in expected]
+        assert size == len(expected)
 
 
 def test_copies_of_type_fixtures():

@@ -1,17 +1,20 @@
-"""Time the tiling layer on a fixed list of instances, split by layer.
+"""Time the tiling and probe layers on a fixed list of instances.
 
 Run from the repository root:
 
     PYTHONPATH=src python3 scripts/bench_tiling.py [--repeat N] [ROW ...]
 
-Each row prints one JSON line: the row's name and the code it runs, the best
-CPU seconds over the repeats (`total_s`), the part of it spent in copy-set
-enumeration (`enumeration_s`) and in the searches over the copy sets
-(`cover_s`: time inside `has_perfect_tiling` and `max_tiling` minus the
-enumeration they run), the answer, and the SHA-256 of the answer's JSON
-(for the sweep row, of the command's stdout). The split comes from wrappers
-on the package's public functions, so the script runs unchanged against any
-revision with the same public API.
+Each row prints one JSON line: the row's name, its layer and the code it
+runs, the best CPU seconds over the repeats (`total_s`), the part of it spent
+in copy-set enumeration (`enumeration_s`), the answer, the SHA-256 of the
+answer's JSON (the sweep and `probe close` answers hold the SHA-256 of the
+command's stdout), and the line count and git revision of the package it
+imported.
+Tiling rows add the time of the searches over the copy sets (`cover_s`:
+time inside `has_perfect_tiling` and `max_tiling` minus the enumeration they
+run); probe rows add the number of enumerations and of `has_perfect_tiling`
+calls. The split comes from wrappers on the package's public functions, so
+the script runs unchanged against any revision with the same public API.
 """
 
 from __future__ import annotations
@@ -22,22 +25,29 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import pathlib
 import random
+import subprocess
 import sys
+import tempfile
 import time
 
+import hypertile
 from hypertile import (barrier_graph, build, cli, complete_k_partite, experiments,
-                       k_st, solver)
+                       hgio, k_st, probes, solver)
 
 
 class _Clock:
-    """CPU seconds spent inside wrapped calls, per field."""
+    """CPU seconds spent inside wrapped calls, and their number, per field."""
 
     def __init__(self):
         self.enumeration = self.tiling = 0.0
+        self.calls = {"enumeration": 0, "tiling": 0}
 
     def wrap(self, fn, field):
         def timed(*args, **kwargs):
+            self.calls[field] += 1
             started = time.process_time()
             try:
                 return fn(*args, **kwargs)
@@ -56,6 +66,24 @@ def _planted_host(seed: int, n: int, p: float):
         x, y, z, w = order[i:i + 4]
         edges |= {tuple(sorted((x, y, z))), tuple(sorted((x, y, w)))}
     return build(3, n, edges)
+
+
+def _random_host(seed: int, n: int, p: float):
+    rng = random.Random(seed)
+    return build(3, n, [e for e in itertools.combinations(range(n), 3) if rng.random() < p])
+
+
+def _probe_close(host, pattern):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("host.hg", "pattern.hg")]
+        hgio.save_hg(host, paths[0])
+        hgio.save_hg(pattern, paths[1])
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            cli.main(["probe", "close", paths[0], "--pattern", paths[1],
+                      "-x", "0", "-y", "1", "-i", "2", "--eta", "1/1000"])
+    out = buffer.getvalue()
+    return {**json.loads(out), "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
 
 
 def _tiling(host, pattern):
@@ -77,35 +105,60 @@ def _sweep():
 
 
 K222 = complete_k_partite((2, 2, 2)).graph
+K111 = complete_k_partite((1, 1, 1)).graph
+K112 = complete_k_partite((1, 1, 2)).graph
+RANDOM14 = "random n=14 p=0.5 seed 0"
+# name: (layer, code, run)
 ROWS = {
-    "barrier99-k222": ("has_perfect_tiling(barrier_graph(9, 9), complete_k_partite((2, 2, 2)))",
+    "barrier99-k222": ("tiling", "has_perfect_tiling(barrier_graph(9, 9), complete_k_partite((2, 2, 2)))",
                        lambda: _tiling(barrier_graph(9, 9).graph, K222)),
-    "barrier99-kst322": ("has_perfect_tiling(barrier_graph(9, 9), k_st(3, 2, 2))",
+    "barrier99-kst322": ("tiling", "has_perfect_tiling(barrier_graph(9, 9), k_st(3, 2, 2))",
                          lambda: _tiling(barrier_graph(9, 9).graph, k_st(3, 2, 2).graph)),
-    "sweep-12-18-m2": ("hypertile sweep --n-min 12 --n-max 18 -m 2", _sweep),
-    "k666-k222": ("has_perfect_tiling(complete_k_partite((6, 6, 6)), complete_k_partite((2, 2, 2)))",
+    "sweep-12-18-m2": ("tiling", "hypertile sweep --n-min 12 --n-max 18 -m 2", _sweep),
+    "k666-k222": ("tiling", "has_perfect_tiling(complete_k_partite((6, 6, 6)), complete_k_partite((2, 2, 2)))",
                   lambda: _tiling(complete_k_partite((6, 6, 6)).graph, K222)),
-    "planted20-max": ("max_tiling(planted n=20 p=0.3 seed 0, complete_k_partite((1, 1, 2)))",
-                      lambda: _max(_planted_host(0, 20, 0.3), complete_k_partite((1, 1, 2)).graph)),
+    "planted20-max": ("tiling", "max_tiling(planted n=20 p=0.3 seed 0, complete_k_partite((1, 1, 2)))",
+                      lambda: _max(_planted_host(0, 20, 0.3), K112)),
+    "connectors14-k112-i2": (
+        "probe", f"count_connectors({RANDOM14}, complete_k_partite((1, 1, 2)), 0, 1, 2)",
+        lambda: {"count": probes.count_connectors(_random_host(0, 14, 0.5), K112, 0, 1, 2)}),
+    "close14-k111-i2": (
+        "probe", f"hypertile probe close <{RANDOM14}> --pattern <K(1,1,1)> -x 0 -y 1 -i 2"
+                 " --eta 1/1000",
+        lambda: _probe_close(_random_host(0, 14, 0.5), K111)),
+    "closed14-k111-i2": (
+        "probe", f"closed_set({RANDOM14}, complete_k_partite((1, 1, 1)), (0, 1, 2), 2, 0)",
+        lambda: {"closed": probes.closed_set(_random_host(0, 14, 0.5), K111, (0, 1, 2), 2, 0)}),
 }
+
+
+def _package_meta() -> dict:
+    """Line count and git revision of the imported package's source."""
+    src = pathlib.Path(hypertile.__file__).parent
+    lines = sum(len(p.read_text().splitlines()) for p in sorted(src.glob("*.py")))
+    try:
+        revision = subprocess.run(
+            ["git", "-C", str(src), "describe", "--always", "--dirty", "--abbrev=40"],
+            capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        revision = None
+    return {"src_lines": lines, "git_revision": revision}
 
 
 def measure(name: str, repeat: int) -> dict:
     """The row's fastest run, with its layer split and its answer."""
-    code, run = ROWS[name]
+    layer, code, run = ROWS[name]
     # Every module binding of the tiling entry points gets a wrapper around
     # the original function, so no call is counted twice.
-    originals = {(m, f): getattr(m, f) for m in (solver, experiments, cli)
+    originals = {(m, f): getattr(m, f) for m in (solver, experiments, cli, probes)
                  for f in ("enumerate_copy_sets", "has_perfect_tiling", "max_tiling")
                  if hasattr(m, f)}
     best = None
     for _ in range(repeat):
         clock = _Clock()
-        solver.enumerate_copy_sets = clock.wrap(originals[solver, "enumerate_copy_sets"],
-                                                "enumeration")
         for (module, field), fn in originals.items():
-            if field != "enumerate_copy_sets":
-                setattr(module, field, clock.wrap(fn, "tiling"))
+            setattr(module, field, clock.wrap(
+                fn, "enumeration" if field == "enumerate_copy_sets" else "tiling"))
         try:
             started = time.process_time()
             answer = run()
@@ -114,13 +167,17 @@ def measure(name: str, repeat: int) -> dict:
             for (module, field), fn in originals.items():
                 setattr(module, field, fn)
         if best is None or total < best["total_s"]:
-            best = {"row": name, "code": code, "total_s": round(total, 3),
-                    "enumeration_s": round(clock.enumeration, 3),
-                    "cover_s": round(clock.tiling - clock.enumeration, 3),
-                    "answer": {k: v for k, v in answer.items() if k != "copies"},
-                    "answer_sha256": hashlib.sha256(
-                        json.dumps(answer, sort_keys=True).encode()).hexdigest()}
-    return best
+            best = {"row": name, "layer": layer, "code": code, "total_s": round(total, 3),
+                    "enumeration_s": round(clock.enumeration, 3)}
+            if layer == "tiling":
+                best["cover_s"] = round(clock.tiling - clock.enumeration, 3)
+            else:
+                best["enumerations"] = clock.calls["enumeration"]
+                best["tilings"] = clock.calls["tiling"]
+            best["answer"] = {k: v for k, v in answer.items() if k != "copies"}
+            best["answer_sha256"] = hashlib.sha256(
+                json.dumps(answer, sort_keys=True).encode()).hexdigest()
+    return {**best, **_package_meta()}
 
 
 def main() -> int:

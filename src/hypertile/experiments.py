@@ -263,7 +263,7 @@ def _claim_mirrored_free(budget: int | None) -> tuple[bool, dict]:
             "two_base_vertices_per_edge": sides_ok,
             "min_mixed_codegree": mixed_min,
         }
-        ok = ok and free and sides_ok and mixed_min >= q - 3
+        ok = ok and free and sides_ok and mixed_min == q - 3
     return ok, {"orders": list(MIRRORED_ORDERS), "instances": per_q}
 
 

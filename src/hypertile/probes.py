@@ -5,36 +5,32 @@ closeness, robust copy distributions, lattice transferrals, goodness, and
 extremal witnesses) are evaluated here literally on a concrete host graph:
 thresholds like eta * n^(ti-1) are compared in exact rational arithmetic,
 and every count comes from exhaustive enumeration under the budget guard.
+Connector probes enumerate the host's copy sets once; whether H[S + x]
+tiles is decided by the exact cover restricted to the vertex mask of S + x.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .budget import charge
 from .core import Hypergraph, Partition, TypeVector, vertex_set
 from .errors import ValidationError
-from .solver import enumerate_copy_sets, has_perfect_tiling
+# has_perfect_tiling stays bound here because hbench's tracer self-test reads it.
+from .solver import _candidate_tables, _exact_cover_first, enumerate_copy_sets, has_perfect_tiling
 
 
-def count_connectors(host: Hypergraph, pattern: Hypergraph, x: int, y: int,
-                     i: int, budget: int | None = None) -> int:
-    """Number of (x, y)-connectors of length i.
-
-    A connector is a set S disjoint from {x, y} with |S| = |V(F)|*i - 1
-    such that both H[S + {x}] and H[S + {y}] admit perfect pattern tilings.
-    """
+def _connector_counts(host: Hypergraph, pattern: Hypergraph, pairs: Sequence[tuple[int, int]],
+                      i: int, budget: int | None) -> Iterator[int]:
+    """Connector counts of the pairs in turn, over one copy-set table of the host;
+    with several pairs, verdicts are memoised by mask (S + a recurs for (a, b), (a, c))."""
     if pattern.n == 0:
         raise ValidationError("pattern has no vertices")
-    if x == y:
-        raise ValidationError("connector endpoints must differ")
-    for v in (x, y):
-        if v < 0 or v >= host.n:
-            raise ValidationError(f"vertex {v} out of range 0..{host.n - 1}")
     if i < 1:
         raise ValidationError(f"connector length must be positive, got {i}")
     size = pattern.n * i - 1
@@ -42,16 +38,34 @@ def count_connectors(host: Hypergraph, pattern: Hypergraph, x: int, y: int,
         raise ValidationError(
             f"connector size {size} exceeds the {host.n - 2} vertices available")
     charge(math.comb(host.n - 2, size), budget, "connector enumeration")
-    others = [v for v in range(host.n) if v != x and v != y]
-    count = 0
-    for s in itertools.combinations(others, size):
-        with_x = host.induced(s + (x,)).graph
-        if not has_perfect_tiling(with_x, pattern, budget=budget).found:
-            continue
-        with_y = host.induced(s + (y,)).graph
-        if has_perfect_tiling(with_y, pattern, budget=budget).found:
-            count += 1
-    return count
+    sets = enumerate_copy_sets(host, pattern, budget=budget).sets
+    masks, cols = _candidate_tables(host.n, sets)
+
+    def tiles(target: int) -> bool:
+        return _exact_cover_first(sets, masks, cols, target) is not None
+    if len(pairs) > 1:
+        tiles = functools.cache(tiles)
+    for x, y in pairs:
+        others = [1 << v for v in range(host.n) if v != x and v != y]
+        yield sum(1 for s in itertools.combinations(others, size)
+                  if tiles(sum(s) | 1 << x) and tiles(sum(s) | 1 << y))
+
+
+def count_connectors(host: Hypergraph, pattern: Hypergraph, x: int, y: int,
+                     i: int, budget: int | None = None) -> int:
+    """Number of (x, y)-connectors of length i.
+
+    A connector is a set S disjoint from {x, y} with |S| = |V(F)|*i - 1
+    such that both H[S + {x}] and H[S + {y}] admit perfect pattern tilings,
+    decided per vertex mask over one copy-set table of the host.  The budget
+    is charged for the C(n-2, |S|) candidates and for that one enumeration.
+    """
+    if x == y:
+        raise ValidationError("connector endpoints must differ")
+    for v in (x, y):
+        if v < 0 or v >= host.n:
+            raise ValidationError(f"vertex {v} out of range 0..{host.n - 1}")
+    return next(_connector_counts(host, pattern, [(x, y)], i, budget))
 
 
 def is_close(host: Hypergraph, pattern: Hypergraph, x: int, y: int, i: int,
@@ -72,16 +86,21 @@ def closed_set(host: Hypergraph, pattern: Hypergraph, vertices: Iterable[int],
                i: int, eta, budget: int | None = None) -> bool:
     """Whether every pair within the set is (i, eta)-close.
 
-    Sets with at most one vertex are closed vacuously.
+    Sets with at most one vertex are closed vacuously.  All pairs are
+    counted over one copy-set table of the host.
     """
     vs = vertex_set(vertices)
     for v in vs:
         if v < 0 or v >= host.n:
             raise ValidationError(f"vertex {v} out of range 0..{host.n - 1}")
-    for a, b in itertools.combinations(vs, 2):
-        if not is_close(host, pattern, a, b, i, eta, budget=budget):
-            return False
-    return True
+    if len(vs) < 2:
+        return True
+    eta_f = Fraction(eta)
+    if eta_f < 0:
+        raise ValidationError(f"eta must be nonnegative, got {eta}")
+    pairs = list(itertools.combinations(vs, 2))
+    return all(Fraction(count) >= eta_f * host.n ** (pattern.n * i - 1)
+               for count in _connector_counts(host, pattern, pairs, i, budget))
 
 
 @dataclass(frozen=True)

@@ -351,12 +351,18 @@ def enumerate_copy_sets(host: Hypergraph, pattern: Hypergraph,
 
 
 def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
-                       cols: Sequence[int]) -> list[int] | None:
+                       cols: Sequence[int], target: int | None = None) -> list[int] | None:
     """First exact cover under the fail-first column rule: branch on the
     uncovered vertex v with the fewest live candidates, counted as
     `(live & cols[v]).bit_count()`, ties to the smallest id, failing at once
-    on a vertex with none; try them in ascending index (input) order."""
+    on a vertex with none; try them in ascending index (input) order.
+    A vertex mask `target` (default: all) limits the cover to its vertices,
+    the sets through any other vertex dead from the start."""
     chosen: list[int] = []
+    live = (1 << len(sets)) - 1
+    for v, col in enumerate(cols):
+        if target is not None and not target >> v & 1:
+            live ^= live & col
 
     def cover(uncovered: int, live: int) -> bool:
         if uncovered == 0:
@@ -385,7 +391,7 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
             options ^= low
         return False
 
-    if cover((1 << len(cols)) - 1, (1 << len(sets)) - 1):
+    if cover((1 << len(cols)) - 1 if target is None else target, live):
         return chosen
     return None
 

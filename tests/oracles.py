@@ -90,6 +90,27 @@ def product_pair_degrees(q: int) -> dict:
     return degrees
 
 
+def mirrored_mixed_degrees(q: int) -> dict:
+    """Mixed pair degrees of the mirrored product 3-graph for a prime q, by
+    direct count.
+
+    Base vertex v and mirror vertex n0 + v (n0 = (q-1)^2) both stand for the
+    pair product_vertex(q, v); {u, v, n0 + w} with base vertices u != v is
+    an edge iff u1*v1*w1 + u2*v2*w2 = 1 mod q, and w may be u or v.  Returns
+    {(u, n0 + w): number of base vertices v != u completing an edge} for
+    every base u and every w.
+    """
+    if q < 3 or any(q % d == 0 for d in range(2, q)):
+        raise ValueError(f"q must be an odd prime, got {q}")
+    n0 = (q - 1) ** 2
+    pts = [product_vertex(q, v) for v in range(n0)]
+    return {(u, n0 + w): sum(
+                1 for v in range(n0)
+                if v != u and (pts[u][0] * pts[v][0] * pts[w][0]
+                               + pts[u][1] * pts[v][1] * pts[w][1]) % q == 1)
+            for u in range(n0) for w in range(n0)}
+
+
 def block_tiling_exists(n: int, host_edges, pat_n: int, pat_edges) -> bool:
     """Perfect tiling by scanning partitions into blocks and all bijections."""
     if pat_n <= 0 or n % pat_n:
@@ -115,6 +136,23 @@ def block_tiling_exists(n: int, host_edges, pat_n: int, pat_edges) -> bool:
         return False
 
     return rec(frozenset(range(n)))
+
+
+def connector_count(n: int, host_edges, pat_n: int, pat_edges,
+                    x: int, y: int, i: int) -> int:
+    """(x, y)-connectors of length i by their definition: the sets S of
+    pat_n*i - 1 vertices avoiding x and y such that the subgraphs induced on
+    S + x and on S + y both have perfect tilings, each decided by
+    block_tiling_exists after relabelling the block to 0..len-1."""
+    def tiles(block) -> bool:
+        label = {v: j for j, v in enumerate(sorted(block))}
+        inside = [[label[v] for v in e] for e in host_edges
+                  if all(v in label for v in e)]
+        return block_tiling_exists(len(label), inside, pat_n, pat_edges)
+
+    rest = [v for v in range(n) if v != x and v != y]
+    return sum(1 for s in itertools.combinations(rest, pat_n * i - 1)
+               if tiles(s + (x,)) and tiles(s + (y,)))
 
 
 def copy_exists(n: int, host_edges, pat_n: int, pat_edges) -> bool:

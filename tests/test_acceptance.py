@@ -105,18 +105,38 @@ def test_criterion_01_product_graph_free_and_codegree():
 
 
 def test_criterion_02_mirrored_graph_structure():
+    # Mixed pair degree floor, by hand.  A mixed pair (u, w') with w' the
+    # mirror twin of w is completed by the base vertices v != u with
+    # u1*v1*w1 + u2*v2*w2 = 1.  With a = u1*w1 and b = u2*w2 the line
+    # a*v1 + b*v2 = 1 has q-2 points off the axes, and v = w is allowed, so
+    # the degree is q-2, less one when u itself lies on the line: the floor
+    # is q-3, attained at every q checked here.
     ok = True
     details = []
-    for q in (3, 5):
+    for q in (3, 5, 7):
         lc = mirrored_product_graph(q)
         g = lc.graph
         n0 = (q - 1) ** 2
         free = contains_copy(g, K122) is None
         two_base = all(sum(1 for v in e if v < n0) == 2 for e in g.edges)
-        mixed = min(g.degree((u, w))
-                    for u in range(n0) for w in range(n0, 2 * n0))
-        ok = ok and free and two_base and mixed >= q - 3
-        details.append(f"q={q}: free={free}, mixed min={mixed}")
+        counts = Counter(
+            pair for e in g.edges for pair in itertools.combinations(e, 2))
+        degrees = {(u, w): counts[u, w]
+                   for u in range(n0) for w in range(n0, 2 * n0)}
+        expected = oracles.mirrored_mixed_degrees(q)
+        pts = [oracles.product_vertex(q, v) for v in range(n0)]
+
+        def on_line(u, w):
+            (u1, u2), (w1, w2) = pts[u], pts[w - n0]
+            return (u1 * u1 * w1 + u2 * u2 * w2) % q == 1
+
+        identity = all(deg == q - 2 - on_line(u, w)
+                       for (u, w), deg in expected.items())
+        mixed = min(degrees.values())
+        ok = (ok and free and two_base and degrees == expected and identity
+              and mixed == q - 3)
+        details.append(f"q={q}: free={free}, mixed min={mixed}, oracle "
+                       + ("agrees" if degrees == expected and identity else "DIFFERS"))
     record(2, ok, "; ".join(details))
     assert ok
 

@@ -125,6 +125,14 @@ def test_verify_suite_single_claim():
     assert "timings" not in doc
 
 
+def test_mirrored_claim_reports_the_oracle_floor():
+    (row,) = verify_suite(claims=["mirrored-graph-free"]).rows
+    assert row["passed"]
+    for q in row["details"]["orders"]:
+        got = row["details"]["instances"][str(q)]["min_mixed_codegree"]
+        assert got == min(oracles.mirrored_mixed_degrees(q).values()) == q - 3
+
+
 def test_verify_suite_rejects_unknown_claim():
     with pytest.raises(ValidationError):
         verify_suite(claims=["unheard-of"])

@@ -14,16 +14,21 @@ from hypertile import (
     closed_set,
     complete_k_partite,
     count_connectors,
+    enumerate_copy_sets,
     extremal_witness,
     gamma_contains,
     has_transferral,
     is_close,
+    k_st,
     robust_vectors,
 )
+import hypertile.probes as probes
 from hypertile.probes import _lattice_member
 from hypertile.errors import BudgetExceededError, ValidationError
 
 EDGE = build(3, 3, [(0, 1, 2)])
+K112 = complete_k_partite((1, 1, 2)).graph
+KST312 = k_st(3, 1, 2).graph
 K333 = complete_k_partite((3, 3, 3)).graph
 B75 = barrier_graph(7, 5).graph
 
@@ -67,6 +72,62 @@ def test_connector_validation():
 def test_connector_budget():
     with pytest.raises(BudgetExceededError):
         count_connectors(K333, EDGE, 0, 1, 2, budget=3)
+
+
+@st.composite
+def connector_cases(draw):
+    """(host, pattern, x, y, i): a random host with room for length-i
+    connectors, at most 10 vertices unless the pattern needs more (k_st(3,1,2)
+    at i = 2 needs 11), dense enough that many candidates tile."""
+    pattern = draw(st.sampled_from((EDGE, K112, KST312)))
+    i = draw(st.sampled_from((1, 2)))
+    lo = pattern.n * i + 1
+    n = draw(st.integers(max(lo, 6), max(lo, 10)))
+    p = draw(st.sampled_from((0.5, 0.7, 0.9)))
+    rng = draw(st.randoms(use_true_random=False))
+    host = build(3, n, [e for e in itertools.combinations(range(n), 3) if rng.random() < p])
+    x, y = draw(st.permutations(range(n)))[:2]
+    return host, pattern, x, y, i
+
+
+@settings(max_examples=80)
+@given(connector_cases())
+def test_connectors_match_the_tiling_oracle(case):
+    host, pattern, x, y, i = case
+    expected = oracles.connector_count(host.n, host.edges, pattern.n, pattern.edges, x, y, i)
+    assert count_connectors(host, pattern, x, y, i) == expected
+
+
+@settings(max_examples=30)
+@given(connector_cases(), st.data())
+def test_closed_set_agrees_with_the_pair_counts(case, data):
+    # thresholds at every pair's count: closed exactly when the smallest
+    # count reaches the threshold, so the shared table counts every pair
+    host, pattern, _, _, i = case
+    vs = data.draw(st.sets(st.integers(0, host.n - 1), min_size=3, max_size=4))
+    counts = [count_connectors(host, pattern, a, b, i)
+              for a, b in itertools.combinations(sorted(vs), 2)]
+    scale = host.n ** (pattern.n * i - 1)
+    for c in set(counts) | {max(counts) + 1}:
+        assert closed_set(host, pattern, vs, i, Fraction(c, scale)) == (min(counts) >= c)
+
+
+def test_closed_set_enumerates_once(monkeypatch):
+    cases = [(vs, eta) for vs in ((0, 1, 2), (0, 1, 3), (0, 3, 6))
+             for eta in (0, Fraction(1, 9), Fraction(1, 8))]
+    expected = [all(is_close(K333, EDGE, a, b, 1, eta)
+                    for a, b in itertools.combinations(vs, 2)) for vs, eta in cases]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_copy_sets(*args, **kwargs)
+
+    monkeypatch.setattr(probes, "enumerate_copy_sets", counted)
+    for (vs, eta), closed in zip(cases, expected):
+        calls.clear()
+        assert closed_set(K333, EDGE, vs, 1, eta) is closed
+        assert len(calls) == 1
 
 
 def test_is_close_thresholds():

@@ -260,6 +260,35 @@ def test_exact_cover_matches_the_oracle_rule(system):
     assert got == oracles.first_cover(n, sets)
 
 
+@st.composite
+def targeted_systems(draw):
+    """(n, sets, target): a set system and a vertex mask; half the time the
+    sets also hold a planted exact cover of the mask's vertices."""
+    n, t, sets = draw(set_systems())
+    inside = sorted(draw(st.sets(st.integers(0, n - 1)))) if n else []
+    if len(inside) % t == 0 and draw(st.booleans()):
+        order = draw(st.permutations(inside))
+        sets = sorted(set(sets) | {tuple(sorted(order[i:i + t]))
+                                   for i in range(0, len(order), t)})
+    return n, sets, sum(1 << v for v in inside)
+
+
+@settings(max_examples=300)
+@example((4, [(0, 1), (2, 3)], 0))                    # empty target
+@example((4, [(0, 1), (1, 2)], 0b1011))               # vertex 3 in no candidate
+# the four inside vertices tie only once the sets through vertex 4 are dead
+@example((5, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3)], 0b1111))
+@given(targeted_systems())
+def test_targeted_cover_is_the_oracle_cover_of_the_subsystem(system):
+    n, sets, target = system
+    verts = [v for v in range(n) if target >> v & 1]
+    label = {v: j for j, v in enumerate(verts)}
+    inside = [ci for ci, s in enumerate(sets) if all(v in label for v in s)]
+    expected = oracles.first_cover(len(verts), [[label[v] for v in sets[ci]] for ci in inside])
+    got = _exact_cover_first(sets, *_candidate_tables(n, sets), target)
+    assert got == (None if expected is None else [inside[j] for j in expected])
+
+
 @settings(max_examples=300)
 @_with_examples
 @given(set_systems())

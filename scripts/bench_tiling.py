@@ -108,6 +108,8 @@ K222 = complete_k_partite((2, 2, 2)).graph
 K111 = complete_k_partite((1, 1, 1)).graph
 K112 = complete_k_partite((1, 1, 2)).graph
 RANDOM14 = "random n=14 p=0.5 seed 0"
+DENSE100 = "random n=100 p=0.5 seed 0"
+SPARSE100 = "random n=100 p=0.002 seed 0"
 # name: (layer, code, run)
 ROWS = {
     "barrier99-k222": ("tiling", "has_perfect_tiling(barrier_graph(9, 9), complete_k_partite((2, 2, 2)))",
@@ -129,6 +131,13 @@ ROWS = {
     "closed14-k111-i2": (
         "probe", f"closed_set({RANDOM14}, complete_k_partite((1, 1, 1)), (0, 1, 2), 2, 0)",
         lambda: {"closed": probes.closed_set(_random_host(0, 14, 0.5), K111, (0, 1, 2), 2, 0)}),
+    # Large hosts at i = 1: C(n-2, 2) candidates against one C(n, 3) enumeration.
+    "connectors100-k111-i1": (
+        "probe", f"count_connectors({DENSE100}, complete_k_partite((1, 1, 1)), 0, 1, 1)",
+        lambda: {"count": probes.count_connectors(_random_host(0, 100, 0.5), K111, 0, 1, 1)}),
+    "connectors100sparse-k111-i1": (
+        "probe", f"count_connectors({SPARSE100}, complete_k_partite((1, 1, 1)), 0, 1, 1)",
+        lambda: {"count": probes.count_connectors(_random_host(0, 100, 0.002), K111, 0, 1, 1)}),
 }
 
 

@@ -11,7 +11,6 @@ tiles is decided by the exact cover restricted to the vertex mask of S + x.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,8 +26,7 @@ from .solver import _candidate_tables, _exact_cover_first, enumerate_copy_sets, 
 
 def _connector_counts(host: Hypergraph, pattern: Hypergraph, pairs: Sequence[tuple[int, int]],
                       i: int, budget: int | None) -> Iterator[int]:
-    """Connector counts of the pairs in turn, over one copy-set table of the host;
-    with several pairs, verdicts are memoised by mask (S + a recurs for (a, b), (a, c))."""
+    """Connector counts of the pairs in turn, over one copy-set table of the host."""
     if pattern.n == 0:
         raise ValidationError("pattern has no vertices")
     if i < 1:
@@ -43,8 +41,7 @@ def _connector_counts(host: Hypergraph, pattern: Hypergraph, pairs: Sequence[tup
 
     def tiles(target: int) -> bool:
         return _exact_cover_first(sets, masks, cols, target) is not None
-    if len(pairs) > 1:
-        tiles = functools.cache(tiles)
+
     for x, y in pairs:
         others = [1 << v for v in range(host.n) if v != x and v != y]
         yield sum(1 for s in itertools.combinations(others, size)

@@ -351,17 +351,17 @@ def enumerate_copy_sets(host: Hypergraph, pattern: Hypergraph,
 
 
 def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
-                       cols: Sequence[int], target: int | None = None) -> list[int] | None:
-    """First exact cover under the fail-first column rule: branch on the
-    uncovered vertex v with the fewest live candidates, counted as
-    `(live & cols[v]).bit_count()`, ties to the smallest id, failing at once
-    on a vertex with none; try them in ascending index (input) order.
-    A vertex mask `target` (default: all) limits the cover to its vertices,
-    the sets through any other vertex dead from the start."""
+                       cols: Sequence[int], target: int) -> list[int] | None:
+    """First exact cover of the vertex mask `target` under the fail-first
+    column rule: branch on the uncovered vertex v with the fewest live
+    candidates, counted as `(live & cols[v]).bit_count()`, ties to the
+    smallest id, failing at once on a vertex with none; try them in
+    ascending index (input) order.  The sets through any vertex outside
+    `target` are dead from the start."""
     chosen: list[int] = []
     live = (1 << len(sets)) - 1
     for v, col in enumerate(cols):
-        if target is not None and not target >> v & 1:
+        if not target >> v & 1:
             live ^= live & col
 
     def cover(uncovered: int, live: int) -> bool:
@@ -391,7 +391,7 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
             options ^= low
         return False
 
-    if cover((1 << len(cols)) - 1 if target is None else target, live):
+    if cover(target, live):
         return chosen
     return None
 
@@ -454,7 +454,8 @@ def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
     if host.n == 0:
         return TilingOutcome(TilingCertificate((), ()), REASON_FOUND)
     enum = enumerate_copy_sets(host, pattern, budget=budget)
-    solution = _exact_cover_first(enum.sets, *_candidate_tables(host.n, enum.sets))
+    solution = _exact_cover_first(enum.sets, *_candidate_tables(host.n, enum.sets),
+                                  (1 << host.n) - 1)
     if solution is None:
         return TilingOutcome(None, REASON_EXHAUSTED)
     embeddings = tuple(enum.witnesses[enum.sets[ci]] for ci in solution)

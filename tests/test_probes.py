@@ -74,6 +74,14 @@ def test_connector_budget():
         count_connectors(K333, EDGE, 0, 1, 2, budget=3)
 
 
+def test_connector_budget_covers_one_host_enumeration():
+    # At i = 1 the C(n, 3) = 84 host triples outweigh the C(n-2, 2) = 21
+    # candidates, so the enumeration sets the smallest budget that runs.
+    assert count_connectors(K333, EDGE, 0, 1, 1, budget=84) == 9
+    with pytest.raises(BudgetExceededError, match="copy-set enumeration"):
+        count_connectors(K333, EDGE, 0, 1, 1, budget=83)
+
+
 @st.composite
 def connector_cases(draw):
     """(host, pattern, x, y, i): a random host with room for length-i

@@ -256,7 +256,7 @@ def _with_examples(test):
 @given(set_systems())
 def test_exact_cover_matches_the_oracle_rule(system):
     n, _, sets = system
-    got = _exact_cover_first(sets, *_candidate_tables(n, sets))
+    got = _exact_cover_first(sets, *_candidate_tables(n, sets), (1 << n) - 1)
     assert got == oracles.first_cover(n, sets)
 
 

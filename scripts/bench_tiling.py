@@ -73,6 +73,10 @@ def _random_host(seed: int, n: int, p: float):
     return build(3, n, [e for e in itertools.combinations(range(n), 3) if rng.random() < p])
 
 
+def _complete_host(n: int):
+    return build(3, n, itertools.combinations(range(n), 3))
+
+
 def _probe_close(host, pattern):
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, name) for name in ("host.hg", "pattern.hg")]
@@ -110,6 +114,7 @@ K112 = complete_k_partite((1, 1, 2)).graph
 RANDOM14 = "random n=14 p=0.5 seed 0"
 DENSE100 = "random n=100 p=0.5 seed 0"
 SPARSE100 = "random n=100 p=0.002 seed 0"
+COMPLETE18 = "complete 3-graph n=18"
 # name: (layer, code, run)
 ROWS = {
     "barrier99-k222": ("tiling", "has_perfect_tiling(barrier_graph(9, 9), complete_k_partite((2, 2, 2)))",
@@ -117,6 +122,11 @@ ROWS = {
     "barrier99-kst322": ("tiling", "has_perfect_tiling(barrier_graph(9, 9), k_st(3, 2, 2))",
                          lambda: _tiling(barrier_graph(9, 9).graph, k_st(3, 2, 2).graph)),
     "sweep-12-18-m2": ("tiling", "hypertile sweep --n-min 12 --n-max 18 -m 2", _sweep),
+    # Complete hosts: growth reaches each copy set once per copy on it.
+    "complete18-k222": ("tiling", f"has_perfect_tiling({COMPLETE18}, complete_k_partite((2, 2, 2)))",
+                        lambda: _tiling(_complete_host(18), K222)),
+    "complete18-kst322": ("tiling", f"has_perfect_tiling({COMPLETE18}, k_st(3, 2, 2))",
+                          lambda: _tiling(_complete_host(18), k_st(3, 2, 2).graph)),
     "k666-k222": ("tiling", "has_perfect_tiling(complete_k_partite((6, 6, 6)), complete_k_partite((2, 2, 2)))",
                   lambda: _tiling(complete_k_partite((6, 6, 6)).graph, K222)),
     "planted20-max": ("tiling", "max_tiling(planted n=20 p=0.3 seed 0, complete_k_partite((1, 1, 2)))",

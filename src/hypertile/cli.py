@@ -148,6 +148,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_tile(args: argparse.Namespace) -> int:
+    if args.partition is not None and args.type is None:
+        raise ValidationError("--partition requires --type")
     host = load_hg(args.host)
     pattern = load_hg(args.pattern)
     if args.type is not None:
@@ -292,7 +294,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--type", type=_int_list, default=None,
                    help="comma-separated type vector for copy listing")
     p.add_argument("--partition", default=None,
-                   help="JSON file with the host partition (list of vertex lists)")
+                   help="JSON file with the host partition (list of vertex lists), "
+                        "for --type")
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_tile)
 

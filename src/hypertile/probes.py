@@ -209,10 +209,6 @@ class GoodnessReport:
     difference_degrees: tuple[int, ...]
     threshold: Fraction
 
-    @property
-    def all_good(self) -> bool:
-        return all(self.good)
-
 
 def classify_goodness(host: Hypergraph, against: Hypergraph, alpha) -> GoodnessReport:
     """Label each vertex good iff its degree in (against minus host) is at

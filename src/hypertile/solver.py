@@ -3,23 +3,26 @@
 Everything here is exhaustive and exact: a "none" answer means the search
 space was fully explored (or the instance failed the divisibility
 precondition, which is reported as a distinguished reason).  Searches are
-single-threaded and deterministic: hosts, candidate subsets, and cover
-candidates are always iterated in ascending or lexicographic order, so the
+single-threaded and deterministic: hosts, copy sets, and cover candidates
+are always iterated in ascending or lexicographic order, so the
 first witness found is a stable function of the input.
 
-Pattern structure is analysed once per pattern and cached, and a copy is
-found by one of two searches.  Copy sets of complete multipartite patterns
-are matched by a partition scan: the set's vertices, in increasing order,
-each join the first part (parts sorted by size) that still has room, and
-the witness is the first assignment whose transversals are all host edges.
-Every other search, whole-host or spanning, is an ordered bitset embedder:
-pattern vertices are placed in a fixed order (one vertex per part in turn
-for complete partite patterns, the core then the leaf groups for K_{s,t}
-shapes, most-constrained first otherwise), the candidates for the next one
-are the free vertices ANDed with the host's link bitset of every (k-1)-set
-it closes, and twins (vertices whose swap is an automorphism) take
-increasing images.  Candidates are tried in increasing order, so the
-witness is the lexicographically first embedding read in that order.
+Pattern structure is analysed once per pattern and cached, and copies are
+found by one search, an ordered bitset embedder: pattern vertices are
+placed in a fixed order (one vertex per part in turn for complete partite
+patterns, the core then the leaf groups for K_{s,t} shapes, most-constrained
+first otherwise), the candidates for the next one are the free vertices
+ANDed with the host's link bitset of every (k-1)-set it closes, and twins
+(vertices whose swap is an automorphism) and equal blocks (parts of equal
+size, leaf groups) take increasing images.  Candidates are tried in
+increasing order, so embeddings come in lexicographic order, read in the
+placement order.  `contains_copy` returns the first one.  Copy-set
+enumeration runs the embedder to every solution and keeps each vertex set
+with the first embedding that reaches it as its witness; only for complete
+partite patterns is the witness instead the partition scan's: the set's
+vertices, in increasing order, each join the first part (parts sorted by
+size) that still has room, and the first assignment whose transversals are
+all host edges wins.
 
 Tilings are searched over one table of the host's copy sets: each set's
 vertex bitmask and, per vertex, a column: the bitset of the sets through
@@ -34,7 +37,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .budget import charge
 from .core import Hypergraph, Partition, VertexSet, vertex_set
@@ -95,7 +99,8 @@ class _Plan:
     parts: tuple[VertexSet, ...] | None   # complete partite: parts sorted by size
     order: tuple[int, ...]                # placement order of the pattern vertices
     checks: tuple[tuple[VertexSet, ...], ...]  # per position: the (k-1)-sets it closes
-    twin: tuple[int, ...]                 # per position: nearest earlier twin's position, or -1
+    twin: tuple[int, ...]                 # per position: the earlier position whose image it
+                                          # must exceed (a twin or an equal block), or -1
 
 
 def _partite_parts(pattern: Hypergraph) -> tuple[VertexSet, ...] | None:
@@ -166,13 +171,14 @@ def _are_twins(pattern: Hypergraph, u: int, v: int) -> bool:
 @lru_cache(maxsize=256)
 def _plan(pattern: Hypergraph) -> _Plan:
     parts = _partite_parts(pattern)
+    blocks = parts or ()
     if parts is not None:
         # One vertex per part in turn, so edges close as early as they can.
         order = tuple(p[i] for i in range(max(map(len, parts)))
                       for p in parts if i < len(p))
     elif (shape := _kst_shape(pattern)) is not None:
-        core, groups = shape
-        order = core + tuple(v for g in groups for v in g)
+        core, blocks = shape
+        order = core + tuple(v for g in blocks for v in g)
     else:
         order = _generic_order(pattern)
     # An edge is checked once its last vertex (in placement order) lands.
@@ -186,6 +192,12 @@ def _plan(pattern: Hypergraph) -> _Plan:
     twin = [next((j for j in range(i - 1, -1, -1)
                   if _are_twins(pattern, order[j], v)), -1)
             for i, v in enumerate(order)]
+    # Swapping two whole blocks of equal size (the parts of a complete
+    # partite pattern, the leaf groups of a K_{s,t} shape) is an automorphism
+    # too: the first vertex of each block goes above that of the previous one.
+    for prev, block in zip(blocks, blocks[1:]):
+        if len(prev) == len(block):
+            twin[position[block[0]]] = position[prev[0]]
     return _Plan(parts, order, tuple(map(tuple, checks)), tuple(twin))
 
 
@@ -213,19 +225,25 @@ def _check_pair(host: Hypergraph, pattern: Hypergraph) -> None:
 # -- ordered bitset embedding -------------------------------------------------
 
 
-def _embed(host: Hypergraph, pattern: Hypergraph, domain_mask: int) -> Embedding | None:
-    """First embedding into the domain's vertices, read in the plan's order.
+def _place(host: Hypergraph, pattern: Hypergraph,
+           leaf: Callable[[list[int], int, int], bool]) -> None:
+    """Ordered bitset placement of the pattern into the host.
 
     Pattern vertices are placed in plan order.  The candidates for the next
-    one are the free domain vertices, ANDed with the link of every (k-1)-set
-    its placement closes, and kept only above its nearest earlier twin's
-    image; they are tried in increasing order.  The result is therefore the
-    lexicographically first embedding, read in plan order.
+    one are the free vertices, ANDed with the link of every (k-1)-set its
+    placement closes, and kept only above the image its twin entry names;
+    they are tried in increasing order, so embeddings come in lexicographic
+    order, read in plan order.  Once every vertex but the last is placed,
+    `leaf(bits, used, candidates)` gets the placed images (1 << image per
+    pattern vertex), their mask and the nonzero candidate mask of the last
+    vertex; the search stops when it returns True.
     """
     plan = _plan(pattern)
     link = _links(host).get
     order, checks, twin = plan.order, plan.checks, plan.twin
     bits = [0] * pattern.n                      # 1 << image, per placed vertex
+    everything = (1 << host.n) - 1
+    last = len(order) - 1
 
     def place(pos: int, free: int) -> bool:
         candidates = free
@@ -238,23 +256,23 @@ def _embed(host: Hypergraph, pattern: Hypergraph, domain_mask: int) -> Embedding
                 return False
         if twin[pos] >= 0:
             candidates &= -(bits[order[twin[pos]]] << 1)
+        if pos == last:
+            return bool(candidates) and leaf(bits, everything ^ free, candidates)
         fv = order[pos]
-        last = pos + 1 == len(order)
         while candidates:
             low = candidates & -candidates
             bits[fv] = low
-            if last or place(pos + 1, free ^ low):
+            if place(pos + 1, free ^ low):
                 return True
             candidates ^= low
         return False
 
-    if place(0, domain_mask):
-        return Embedding(tuple(b.bit_length() - 1 for b in bits))
-    return None
+    place(0, everything)
 
 
 def contains_copy(host: Hypergraph, pattern: Hypergraph) -> Embedding | None:
-    """First copy of the pattern in the host, or None (verified exhaustive).
+    """First copy of the pattern in the host, or None (verified exhaustive):
+    the lexicographically first embedding, read in the plan's order.
 
     Vertices need not be spanned; the copy may use any host vertices.
     """
@@ -263,10 +281,39 @@ def contains_copy(host: Hypergraph, pattern: Hypergraph) -> Embedding | None:
         return None
     if pattern.edge_count == 0:
         return Embedding(tuple(range(pattern.n)))
-    return _embed(host, pattern, (1 << host.n) - 1)
+    last = _plan(pattern).order[-1]
+    found: list[Embedding] = []
+
+    def leaf(bits: list[int], used: int, candidates: int) -> bool:
+        bits[last] = candidates & -candidates
+        found.append(Embedding(tuple(b.bit_length() - 1 for b in bits)))
+        return True
+
+    _place(host, pattern, leaf)
+    return found[0] if found else None
 
 
-# -- spanning copies and copy-set enumeration --------------------------------
+# -- copy-set enumeration ----------------------------------------------------
+
+
+def _copy_masks(host: Hypergraph, pattern: Hypergraph) -> dict[int, tuple[int, ...]]:
+    """Vertex mask of every copy of the pattern in the host, mapped to the
+    images of the first embedding (in `_place` order) that reaches it."""
+    last = _plan(pattern).order[-1]
+    reached: dict[int, tuple[int, ...]] = {}
+
+    def leaf(bits: list[int], used: int, candidates: int) -> bool:
+        while candidates:
+            low = candidates & -candidates
+            mask = used | low
+            if mask not in reached:
+                bits[last] = low
+                reached[mask] = tuple(b.bit_length() - 1 for b in bits)
+            candidates ^= low
+        return False
+
+    _place(host, pattern, leaf)
+    return reached
 
 
 def _partitions_with_sizes(elems: VertexSet,
@@ -298,21 +345,39 @@ def _partitions_with_sizes(elems: VertexSet,
     yield from extend(0)
 
 
-def _spans(host: Hypergraph, pattern: Hypergraph, subset: VertexSet) -> Embedding | None:
-    """Witness embedding of the pattern onto exactly the given vertex set."""
-    plan = _plan(pattern)
-    if plan.parts is None:
-        return _embed(host, pattern, sum(1 << v for v in subset))
+@lru_cache(maxsize=64)
+def _scan_order(parts: tuple[VertexSet, ...]
+                ) -> tuple[tuple[tuple[itemgetter, ...], tuple[int, ...]], ...]:
+    """The partition scan of a complete partite pattern over the positions
+    0..t-1 of a sorted vertex set: per assignment, in scan order, a getter
+    of each transversal (as a sorted tuple) and the position each pattern
+    vertex takes."""
+    t = sum(map(len, parts))
+    scan = []
+    for assignment in _partitions_with_sizes(tuple(range(t)), tuple(map(len, parts))):
+        # a 1-uniform pattern's transversals are single positions; a slice
+        # keeps them tuples
+        getters = tuple(itemgetter(*tr) if len(tr) > 1 else itemgetter(slice(tr[0], tr[0] + 1))
+                        for tr in map(sorted, itertools.product(*assignment)))
+        positions = [-1] * t
+        for fpart, hpart in zip(parts, assignment):
+            for fv, i in zip(fpart, hpart):
+                positions[fv] = i
+        scan.append((getters, tuple(positions)))
+    return tuple(scan)
+
+
+def _spans(host: Hypergraph, parts: tuple[VertexSet, ...],
+           subset: VertexSet) -> Embedding | None:
+    """Witness of a complete partite pattern with these parts on a vertex
+    set, by the partition scan: the set's vertices, in increasing order,
+    each join the first part (parts sorted by size) that still has room,
+    and the witness is the first assignment whose transversals are all host
+    edges."""
     edge_set = host.edge_set()
-    sizes = tuple(len(p) for p in plan.parts)
-    for assignment in _partitions_with_sizes(subset, sizes):
-        if all(tuple(sorted(combo)) in edge_set
-               for combo in itertools.product(*assignment)):
-            images = [-1] * pattern.n
-            for fpart, hpart in zip(plan.parts, assignment):
-                for fv, hv in zip(fpart, hpart):
-                    images[fv] = hv
-            return Embedding(tuple(images))
+    for getters, positions in _scan_order(parts):
+        if all(get(subset) in edge_set for get in getters):
+            return Embedding(tuple(subset[i] for i in positions))
     return None
 
 
@@ -321,8 +386,11 @@ def enumerate_copy_sets(host: Hypergraph, pattern: Hypergraph,
                         budget: int | None = None) -> CopySetEnumeration:
     """All vertex sets spanned by a pattern copy, in lexicographic order.
 
-    `limit` caps the number of collected sets; hitting it is reported via
-    the truncated flag.  The total subset count is charged to the budget.
+    The sets are grown by the embedder (`_copy_masks`).  A set's witness is
+    the first embedding that reached it, or for a complete partite pattern
+    the partition scan's (`_spans`).  `limit` caps the number of collected
+    sets; hitting it is reported via the truncated flag.  The number of
+    t-subsets, C(n, t), is charged to the budget.
     """
     _check_pair(host, pattern)
     if pattern.n == 0:
@@ -332,19 +400,18 @@ def enumerate_copy_sets(host: Hypergraph, pattern: Hypergraph,
     if pattern.n > host.n:
         return CopySetEnumeration((), False, {})
     charge(math.comb(host.n, pattern.n), budget, "copy-set enumeration")
-    sets: list[VertexSet] = []
-    witnesses: dict[VertexSet, Embedding] = {}
-    truncated = False
-    for subset in itertools.combinations(range(host.n), pattern.n):
-        witness = _spans(host, pattern, subset)
-        if witness is None:
-            continue
-        if limit is not None and len(sets) == limit:
-            truncated = True
-            break
-        sets.append(subset)
-        witnesses[subset] = witness
-    return CopySetEnumeration(tuple(sets), truncated, witnesses)
+    found = sorted((tuple(sorted(images)), images)
+                   for images in _copy_masks(host, pattern).values())
+    truncated = limit is not None and len(found) > limit
+    if truncated:
+        del found[limit:]
+    sets = tuple(s for s, _ in found)
+    parts = _plan(pattern).parts
+    if parts is None:
+        witnesses = {s: Embedding(images) for s, images in found}
+    else:
+        witnesses = {s: _spans(host, parts, s) for s in sets}
+    return CopySetEnumeration(sets, truncated, witnesses)
 
 
 # -- exact cover -------------------------------------------------------------

@@ -155,14 +155,6 @@ def connector_count(n: int, host_edges, pat_n: int, pat_edges,
                if tiles(s + (x,)) and tiles(s + (y,)))
 
 
-def copy_exists(n: int, host_edges, pat_n: int, pat_edges) -> bool:
-    """Whether some injective map of the pattern into range(n) keeps every
-    pattern edge a host edge, by trying all of them."""
-    eset = {frozenset(e) for e in host_edges}
-    return any(all(frozenset(images[v] for v in e) in eset for e in pat_edges)
-               for images in itertools.permutations(range(n), pat_n))
-
-
 def first_witness(host_edges, pat_edges, vertex_set, order, partite: bool):
     """The witness rule for copy sets, by brute force over bijections.
 
@@ -180,6 +172,39 @@ def first_witness(host_edges, pat_edges, vertex_set, order, partite: bool):
         images = dict(zip(perm, vs)) if partite else dict(zip(order, perm))
         if all(frozenset(images[v] for v in e) in eset for e in pat_edges):
             return tuple(images[v] for v in range(len(vs)))
+    return None
+
+
+def copy_sets_by_scan(n: int, host_edges, pat_n: int, pat_edges, order,
+                      partite: bool, limit=None):
+    """Copy-set enumeration by scanning every pat_n-subset of range(n) in
+    lexicographic order, with first_witness as the witness rule.
+
+    Returns (sets, witnesses, truncated): the first `limit` spanned subsets
+    (all of them when limit is None), each one's witness images, and
+    whether a further spanned subset follows them.
+    """
+    sets, witnesses = [], {}
+    for subset in itertools.combinations(range(n), pat_n):
+        witness = first_witness(host_edges, pat_edges, subset, order, partite)
+        if witness is None:
+            continue
+        if limit is not None and len(sets) == limit:
+            return tuple(sets), witnesses, True
+        sets.append(subset)
+        witnesses[subset] = witness
+    return tuple(sets), witnesses, False
+
+
+def first_copy(n: int, host_edges, pat_edges, order):
+    """The lexicographically first injective map of the pattern into
+    range(n), read in the vertex order `order`, that keeps every pattern
+    edge a host edge: images[v] per pattern vertex v, or None."""
+    eset = {frozenset(e) for e in host_edges}
+    for perm in itertools.permutations(range(n), len(order)):
+        images = dict(zip(order, perm))
+        if all(frozenset(images[v] for v in e) in eset for e in pat_edges):
+            return tuple(images[v] for v in range(len(order)))
     return None
 
 

@@ -161,6 +161,15 @@ def test_tile_type_requires_partition(capsys, b75_path, k222_path):
     assert code == 1
 
 
+def test_tile_partition_requires_type(capsys, tmp_path, b75_path, k222_path):
+    parts = tmp_path / "parts.json"
+    parts.write_text(json.dumps([list(range(0, 7)), list(range(7, 12))]))
+    code, out, err = run(capsys, ["tile", b75_path, "--pattern", k222_path,
+                                  "--partition", str(parts)])
+    assert code == 1 and out == ""
+    assert "--partition requires --type" in err
+
+
 def test_probe_connectors(capsys, tmp_path):
     host = write_pattern(tmp_path, "k333.hg", 3, 9,
                          [(a, b, c) for a in range(3)

@@ -113,28 +113,65 @@ def test_copy_set_witnesses_follow_the_witness_rule(pattern, order, partite):
     assert seen > 0
 
 
+# (pattern, placement order): the copy is the lexicographically first
+# embedding read in that order; complete partite patterns take one vertex
+# per part in turn, so K(1,2,2) and K(2,2,2) pin the rule that equal parts
+# are not swapped
 COPY_CASES = (
-    K122,                                                  # complete partite
-    C4,                                                    # K_{s,t} shape
-    TIGHT_PATH,                                            # generic
-    build(2, 4, [(0, 1), (1, 2), (2, 3)]),                 # k = 2 path
-    build(4, 6, [(0, 1, 2, 3), (2, 3, 4, 5)]),             # k = 4
+    (K122, (0, 1, 3, 2, 4)),                               # complete partite
+    (C4, (4, 5, 0, 1, 2, 3)),                              # K_{s,t} shape
+    (TIGHT_PATH, (2, 1, 3, 0, 4)),                         # generic
+    (build(2, 4, [(0, 1), (1, 2), (2, 3)]), (1, 2, 0, 3)),  # k = 2 path
+    (build(4, 6, [(0, 1, 2, 3), (2, 3, 4, 5)]), (2, 3, 0, 1, 4, 5)),  # k = 4
+    (K222, (0, 2, 4, 1, 3, 5)),                            # equal parts
 )
 
 
-@pytest.mark.parametrize("pattern", COPY_CASES)
+@pytest.mark.parametrize("pattern,order", COPY_CASES,
+                         ids=[f"pattern{i}" for i in range(len(COPY_CASES))])
 @settings(max_examples=30)
 @given(data=st.data())
-def test_contains_copy_agrees_with_brute_force(pattern, data):
+def test_contains_copy_agrees_with_brute_force(pattern, order, data):
     g = data.draw(hypergraphs(k=pattern.k, min_n=pattern.n, max_n=pattern.n + 1))
     emb = contains_copy(g, pattern)
-    assert (emb is not None) == oracles.copy_exists(g.n, g.edges, pattern.n,
-                                                    pattern.edges)
-    if emb is not None:
-        assert len(set(emb.images)) == pattern.n
-        assert all(0 <= v < g.n for v in emb.images)
-        for e in pattern.edges:
-            assert g.has_edge(tuple(emb.images[v] for v in e))
+    expected = oracles.first_copy(g.n, g.edges, pattern.edges, order)
+    assert (None if emb is None else emb.images) == expected
+
+
+# (pattern, order, partite) as in WITNESS_CASES, for k = 2 and k = 3:
+# complete partite patterns with equal parts, K_{s,t} shapes, generic
+# patterns, and patterns with no edges or with an isolated vertex
+SCAN_CASES = (
+    (complete_k_partite((1, 1, 1)).graph, (0, 1, 2), True),
+    (K122, (0, 1, 2, 3, 4), True),
+    (K222, (0, 1, 2, 3, 4, 5), True),
+    (C4, (4, 5, 0, 1, 2, 3), False),
+    (k_st(3, 1, 2).graph, (4, 0, 1, 2, 3), False),
+    (TIGHT_PATH, (2, 1, 3, 0, 4), False),
+    (build(3, 3, []), (0, 1, 2), False),
+    (build(3, 4, [(0, 1, 2)]), (0, 1, 2, 3), False),
+    (complete_k_partite((2, 2)).graph, (0, 1, 2, 3), True),
+    (complete_k_partite((1, 2)).graph, (0, 1, 2), True),
+    (build(2, 4, [(0, 1), (1, 2), (2, 3)]), (1, 2, 0, 3), False),
+    (build(2, 3, [(0, 1), (0, 2), (1, 2)]), (0, 1, 2), False),
+    (build(2, 2, []), (0, 1), False),
+    (build(2, 3, [(0, 1)]), (0, 1, 2), False),
+)
+
+
+@settings(max_examples=150)
+@given(case=st.sampled_from(SCAN_CASES), extra=st.integers(0, 2),
+       p=st.sampled_from((0.4, 0.7, 1.0)), seed=st.integers(0, 2 ** 16),
+       limit=st.none() | st.integers(1, 12))
+def test_copy_sets_match_the_subset_scan(case, extra, p, seed, limit):
+    pattern, order, partite = case
+    host = _random_host(pattern.k, pattern.n + extra, p, seed)
+    enum = enumerate_copy_sets(host, pattern, limit=limit)
+    sets, witnesses, truncated = oracles.copy_sets_by_scan(
+        host.n, host.edges, pattern.n, pattern.edges, order, partite, limit)
+    assert enum.sets == sets
+    assert {vs: w.images for vs, w in enum.witnesses.items()} == witnesses
+    assert enum.truncated == truncated
 
 
 def test_enumerate_copy_sets_limit_and_budget():

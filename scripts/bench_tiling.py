@@ -15,6 +15,10 @@ time inside `has_perfect_tiling` and `max_tiling` minus the enumeration they
 run); probe rows add the number of enumerations and of `has_perfect_tiling`
 calls. The split comes from wrappers on the package's public functions, so
 the script runs unchanged against any revision with the same public API.
+The `cli-import` row is the exception: `total_s` is the median wall time of
+21 fresh `python -c "import hypertile.cli"` processes, started in the
+caller's environment, and its answer is the list of `hypertile` modules that
+the import loads. Every row states its `unit`.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import json
 import os
 import pathlib
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -101,6 +106,24 @@ def _max(host, pattern):
     return {"size": size, "copies": [list(e.images) for e in cert.embeddings]}
 
 
+IMPORT_PROCESSES = 21
+
+
+def _cli_import():
+    """Median wall seconds of fresh interpreters that import the CLI, and
+    the hypertile modules one of them loads."""
+    times = []
+    for _ in range(IMPORT_PROCESSES):
+        started = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import hypertile.cli"], check=True)
+        times.append(time.perf_counter() - started)
+    modules = subprocess.run(
+        [sys.executable, "-c", "import sys, hypertile.cli; "
+         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'hypertile'))"],
+        capture_output=True, text=True, check=True).stdout.split()
+    return statistics.median(times), {"modules": modules}
+
+
 def _sweep():
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
@@ -148,6 +171,7 @@ ROWS = {
     "connectors100sparse-k111-i1": (
         "probe", f"count_connectors({SPARSE100}, complete_k_partite((1, 1, 1)), 0, 1, 1)",
         lambda: {"count": probes.count_connectors(_random_host(0, 100, 0.002), K111, 0, 1, 1)}),
+    "cli-import": ("import", 'python -c "import hypertile.cli"', _cli_import),
 }
 
 
@@ -165,8 +189,16 @@ def _package_meta() -> dict:
 
 
 def measure(name: str, repeat: int) -> dict:
-    """The row's fastest run, with its layer split and its answer."""
+    """The row's fastest run (the import row: its median), with its layer
+    split and its answer."""
     layer, code, run = ROWS[name]
+    if layer == "import":
+        seconds, answer = run()
+        return {"row": name, "layer": layer, "code": code,
+                "unit": f"s wall, median of {IMPORT_PROCESSES} processes",
+                "total_s": round(seconds, 4), "answer": answer,
+                "answer_sha256": hashlib.sha256(json.dumps(answer, sort_keys=True).encode()).hexdigest(),
+                **_package_meta()}
     # Every module binding of the tiling entry points gets a wrapper around
     # the original function, so no call is counted twice.
     originals = {(m, f): getattr(m, f) for m in (solver, experiments, cli, probes)
@@ -186,7 +218,8 @@ def measure(name: str, repeat: int) -> dict:
             for (module, field), fn in originals.items():
                 setattr(module, field, fn)
         if best is None or total < best["total_s"]:
-            best = {"row": name, "layer": layer, "code": code, "total_s": round(total, 3),
+            best = {"row": name, "layer": layer, "code": code,
+                    "unit": f"s CPU, fastest of {repeat}", "total_s": round(total, 3),
                     "enumeration_s": round(clock.enumeration, 3)}
             if layer == "tiling":
                 best["cover_s"] = round(clock.tiling - clock.enumeration, 3)

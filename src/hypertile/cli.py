@@ -24,8 +24,8 @@ from .errors import BudgetExceededError, HypertileError, ValidationError
 from .experiments import rational_json
 from .hgio import load_hg, save_hg, write_hg
 from .invariants import invariants, mycroft_threshold
-from .probes import (classify_goodness, count_connectors, extremal_witness,
-                     has_transferral, robust_vectors)
+from .probes import (classify_goodness, close_threshold, count_connectors,
+                     extremal_witness, has_transferral, robust_vectors)
 from .solver import copies_of_type, has_perfect_tiling, max_tiling
 
 
@@ -195,11 +195,9 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         return 0
     if args.probe == "close":
         pattern = load_hg(args.pattern)
-        if args.eta < 0:
-            raise ValidationError(f"eta must be nonnegative, got {args.eta}")
+        threshold = close_threshold(host, pattern, args.i, args.eta)
         count = count_connectors(host, pattern, args.x, args.y, args.i,
                                  budget=args.budget)
-        threshold = args.eta * host.n ** (pattern.n * args.i - 1)
         _emit({
             "close": count >= threshold,
             "count": count,

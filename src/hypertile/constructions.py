@@ -9,25 +9,23 @@ fixed and documented per builder, so outputs are byte-stable across runs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import Hypergraph, Partition
 from .errors import UnsupportedFieldError, ValidationError
 from .fields import GF
 
 
-@dataclass(frozen=True)
-class LabeledConstruction:
+class LabeledConstruction(NamedTuple):
     """A built graph together with its named semantic parts and parameters."""
 
     name: str
     graph: Hypergraph
     part_map: Partition
     part_names: tuple[str, ...]
-    params: Mapping[str, int] = dc_field(default_factory=dict)
+    params: Mapping[str, int]
 
     def part(self, name: str) -> tuple[int, ...]:
         return self.part_map.parts[self.part_names.index(name)]

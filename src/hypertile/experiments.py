@@ -11,9 +11,8 @@ import itertools
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .constructions import (balanced_split, barrier_graph, complete_k_partite,
                             field_product_graph, fortified_barrier, k_st,
@@ -40,8 +39,7 @@ TURAN_MAX = 7
 PROBE_GRAPHS = 20
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     """Rows of one experiment plus out-of-band timings."""
 
     experiment: str

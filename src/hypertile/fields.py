@@ -111,10 +111,6 @@ class GF:
         for i in range(self.q):
             yield self.element_at(i)
 
-    def nonzero_elements(self) -> Iterator[FieldElement]:
-        for i in range(1, self.q):
-            yield self.element_at(i)
-
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:

@@ -11,8 +11,8 @@ threshold evaluators at the bottom return binary64 display values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import Hypergraph, Partition
 from .errors import NotKPartiteError, ValidationError
@@ -68,8 +68,7 @@ def realisations(pattern: Hypergraph) -> list[Partition]:
     return found
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Exact realisation invariants of a pattern."""
 
     k: int
@@ -113,8 +112,7 @@ CASE_MIXED = "gcd_sizes_eq1_gcd_diffs_gt1"
 CASE_NOT_PARTITE = "not_k_partite"
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """Classification and display value of the perfect-tiling codegree threshold."""
 
     case_tag: str

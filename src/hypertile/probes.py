@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import charge
 from .core import Hypergraph, Partition, TypeVector, vertex_set
@@ -24,9 +23,8 @@ from .errors import ValidationError
 from .solver import _candidate_tables, _exact_cover_first, enumerate_copy_sets, has_perfect_tiling
 
 
-def _connector_counts(host: Hypergraph, pattern: Hypergraph, pairs: Sequence[tuple[int, int]],
-                      i: int, budget: int | None) -> Iterator[int]:
-    """Connector counts of the pairs in turn, over one copy-set table of the host."""
+def _connector_size(host: Hypergraph, pattern: Hypergraph, i: int) -> int:
+    """|S| = t*i - 1, the size of a length-i connector, checked against the host."""
     if pattern.n == 0:
         raise ValidationError("pattern has no vertices")
     if i < 1:
@@ -35,6 +33,22 @@ def _connector_counts(host: Hypergraph, pattern: Hypergraph, pairs: Sequence[tup
     if size > host.n - 2:
         raise ValidationError(
             f"connector size {size} exceeds the {host.n - 2} vertices available")
+    return size
+
+
+def close_threshold(host: Hypergraph, pattern: Hypergraph, i: int, eta) -> Fraction:
+    """eta * n^(ti-1): the fewest length-i connectors that make a pair
+    (i, eta)-close.  A negative eta is rejected before anything is counted."""
+    eta_f = Fraction(eta)
+    if eta_f < 0:
+        raise ValidationError(f"eta must be nonnegative, got {eta}")
+    return eta_f * host.n ** _connector_size(host, pattern, i)
+
+
+def _connector_counts(host: Hypergraph, pattern: Hypergraph, pairs: Sequence[tuple[int, int]],
+                      i: int, budget: int | None) -> Iterator[int]:
+    """Connector counts of the pairs in turn, over one copy-set table of the host."""
+    size = _connector_size(host, pattern, i)
     charge(math.comb(host.n - 2, size), budget, "connector enumeration")
     sets = enumerate_copy_sets(host, pattern, budget=budget).sets
     masks, cols = _candidate_tables(host.n, sets)
@@ -71,12 +85,8 @@ def is_close(host: Hypergraph, pattern: Hypergraph, x: int, y: int, i: int,
 
     The threshold comparison is exact rational, never floating point.
     """
-    eta_f = Fraction(eta)
-    if eta_f < 0:
-        raise ValidationError(f"eta must be nonnegative, got {eta}")
-    count = count_connectors(host, pattern, x, y, i, budget=budget)
-    size = pattern.n * i - 1
-    return Fraction(count) >= eta_f * host.n ** size
+    threshold = close_threshold(host, pattern, i, eta)
+    return count_connectors(host, pattern, x, y, i, budget=budget) >= threshold
 
 
 def closed_set(host: Hypergraph, pattern: Hypergraph, vertices: Iterable[int],
@@ -92,16 +102,13 @@ def closed_set(host: Hypergraph, pattern: Hypergraph, vertices: Iterable[int],
             raise ValidationError(f"vertex {v} out of range 0..{host.n - 1}")
     if len(vs) < 2:
         return True
-    eta_f = Fraction(eta)
-    if eta_f < 0:
-        raise ValidationError(f"eta must be nonnegative, got {eta}")
+    threshold = close_threshold(host, pattern, i, eta)
     pairs = list(itertools.combinations(vs, 2))
-    return all(Fraction(count) >= eta_f * host.n ** (pattern.n * i - 1)
+    return all(count >= threshold
                for count in _connector_counts(host, pattern, pairs, i, budget))
 
 
-@dataclass(frozen=True)
-class RobustVectorReport:
+class RobustVectorReport(NamedTuple):
     """Exact per-type copy-set counts and the mu-robust index vectors."""
 
     counts: dict[TypeVector, int]
@@ -201,8 +208,7 @@ def has_transferral(report: RobustVectorReport, j: int, l: int) -> bool:
     return _lattice_member(report.robust, target)
 
 
-@dataclass(frozen=True)
-class GoodnessReport:
+class GoodnessReport(NamedTuple):
     """Per-vertex difference degrees against a comparison graph."""
 
     good: tuple[bool, ...]
@@ -231,21 +237,7 @@ def classify_goodness(host: Hypergraph, against: Hypergraph, alpha) -> GoodnessR
     return GoodnessReport(good, tuple(degrees), threshold)
 
 
-def gamma_contains(host: Hypergraph, target: Hypergraph, gamma) -> bool:
-    """Whether at most gamma * n^3 edges of the target are missing from the host."""
-    if host.n != target.n or host.k != target.k:
-        raise ValidationError(
-            f"graphs must share the ground set: ({host.k}, {host.n}) vs "
-            f"({target.k}, {target.n})")
-    gamma_f = Fraction(gamma)
-    if gamma_f < 0:
-        raise ValidationError(f"gamma must be nonnegative, got {gamma}")
-    missing = sum(1 for e in target.edges if not host.has_edge(e))
-    return Fraction(missing) <= gamma_f * host.n ** 3
-
-
-@dataclass(frozen=True)
-class ExtremalWitness:
+class ExtremalWitness(NamedTuple):
     """Balanced split certifying closeness to a barrier graph, if one exists.
 
     exhaustive is False when the order was too large for the full split scan

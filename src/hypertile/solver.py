@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import sys
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .budget import charge
 from .core import Hypergraph, Partition, VertexSet, vertex_set
@@ -46,8 +46,7 @@ from .errors import ValidationError
 from .invariants import MAX_PATTERN_VERTICES, realisations
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """Injective pattern-to-host vertex map; images[i] hosts pattern vertex i."""
 
     images: tuple[int, ...]
@@ -57,8 +56,7 @@ class Embedding:
         return tuple(sorted(self.images))
 
 
-@dataclass(frozen=True)
-class TilingCertificate:
+class TilingCertificate(NamedTuple):
     """Vertex-disjoint pattern copies and the vertex set they cover."""
 
     embeddings: tuple[Embedding, ...]
@@ -70,8 +68,7 @@ REASON_DIVISIBILITY = "divisibility"
 REASON_EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class TilingOutcome:
+class TilingOutcome(NamedTuple):
     """Result of a perfect-tiling search: a certificate or a verified none."""
 
     certificate: TilingCertificate | None
@@ -82,8 +79,7 @@ class TilingOutcome:
         return self.certificate is not None
 
 
-@dataclass
-class CopySetEnumeration:
+class CopySetEnumeration(NamedTuple):
     """All pattern-spanned vertex sets, with one witness embedding each."""
 
     sets: tuple[VertexSet, ...]
@@ -94,8 +90,7 @@ class CopySetEnumeration:
 # -- pattern analysis -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     parts: tuple[VertexSet, ...] | None   # complete partite: parts sorted by size
     order: tuple[int, ...]                # placement order of the pattern vertices
     checks: tuple[tuple[VertexSet, ...], ...]  # per position: the (k-1)-sets it closes
@@ -506,12 +501,20 @@ def _candidate_tables(n: int, sets: Sequence[VertexSet]) -> tuple[list[int], lis
     return masks, [int.from_bytes(c, "little") for c in cols]
 
 
+def _too_deep(host: Hypergraph, pattern: Hypergraph) -> ValidationError:
+    return ValidationError(
+        f"search too deep for n/t = {host.n}/{pattern.n}: it nests past the "
+        f"interpreter's recursion limit of {sys.getrecursionlimit()}")
+
+
 def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
                        budget: int | None = None) -> TilingOutcome:
     """Perfect-tiling search: certificate, or a verified-exhaustive none.
 
     A host order not divisible by the pattern order is reported as none
-    with the distinguished divisibility reason, without any search.
+    with the distinguished divisibility reason, without any search.  The
+    cover recurses once per chosen copy; a search that nests past the
+    interpreter's recursion limit raises ValidationError.
     """
     _check_pair(host, pattern)
     if pattern.n == 0:
@@ -521,8 +524,11 @@ def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
     if host.n == 0:
         return TilingOutcome(TilingCertificate((), ()), REASON_FOUND)
     enum = enumerate_copy_sets(host, pattern, budget=budget)
-    solution = _exact_cover_first(enum.sets, *_candidate_tables(host.n, enum.sets),
-                                  (1 << host.n) - 1)
+    masks, cols = _candidate_tables(host.n, enum.sets)
+    try:
+        solution = _exact_cover_first(enum.sets, masks, cols, (1 << host.n) - 1)
+    except RecursionError:
+        raise _too_deep(host, pattern) from None
     if solution is None:
         return TilingOutcome(None, REASON_EXHAUSTED)
     embeddings = tuple(enum.witnesses[enum.sets[ci]] for ci in solution)
@@ -532,12 +538,18 @@ def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
 def max_tiling(host: Hypergraph, pattern: Hypergraph,
                budget: int | None = None) -> tuple[int, TilingCertificate]:
     """Largest vertex-disjoint family of pattern copies, by branch and bound
-    over the copy sets (see `_max_packing_first`)."""
+    over the copy sets (see `_max_packing_first`).  The packing recurses once
+    per chosen copy and once per vertex it leaves uncovered; a search that
+    nests past the interpreter's recursion limit raises ValidationError."""
     _check_pair(host, pattern)
     if pattern.n == 0:
         raise ValidationError("pattern has no vertices")
     enum = enumerate_copy_sets(host, pattern, budget=budget)
-    best = _max_packing_first(enum.sets, *_candidate_tables(host.n, enum.sets), pattern.n)
+    masks, cols = _candidate_tables(host.n, enum.sets)
+    try:
+        best = _max_packing_first(enum.sets, masks, cols, pattern.n)
+    except RecursionError:
+        raise _too_deep(host, pattern) from None
     embeddings = tuple(enum.witnesses[enum.sets[ci]] for ci in best)
     covered = vertex_set(v for ci in best for v in enum.sets[ci])
     return len(best), TilingCertificate(embeddings, covered)

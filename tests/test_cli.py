@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hypertile
 from hypertile import build, load_hg, parse_hg, save_hg
 from hypertile.cli import main
 
@@ -154,6 +158,22 @@ def test_tile_partition_accepts_sidecar_shape(capsys, tmp_path, b75_path, k222_p
                                 "--type", "6,0", "--partition", str(parts)])
     assert code == 0
     assert json.loads(out)["count"] == 7
+
+
+def test_tile_too_deep_exits_cleanly(tmp_path):
+    # 1050 copies nest past a fresh interpreter's recursion limit of 1000;
+    # C(2100, 2) stays under the default budget
+    host = write_pattern(tmp_path, "matching.hg", 2, 2100,
+                         [(2 * j, 2 * j + 1) for j in range(1050)])
+    edge = write_pattern(tmp_path, "edge.hg", 2, 2, [(0, 1)])
+    src = Path(hypertile.__file__).resolve().parent.parent
+    for extra in ([], ["--max"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "hypertile.cli", "tile", host, "--pattern", edge, *extra],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == ("hypertile: error: search too deep for n/t = 2100/2: it nests "
+                               "past the interpreter's recursion limit of 1000\n")
 
 
 def test_tile_type_requires_partition(capsys, b75_path, k222_path):

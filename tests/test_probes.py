@@ -16,7 +16,6 @@ from hypertile import (
     count_connectors,
     enumerate_copy_sets,
     extremal_witness,
-    gamma_contains,
     has_transferral,
     is_close,
     k_st,
@@ -272,16 +271,6 @@ def test_goodness_validation():
         classify_goodness(B75, complete_3graph(5), 0)
     with pytest.raises(ValidationError):
         classify_goodness(B75, B75, -1)
-
-
-def test_gamma_contains():
-    assert gamma_contains(B75, B75, 0)
-    assert not gamma_contains(B75.without_edges([B75.edges[0]]), B75, 0)
-    assert gamma_contains(build(3, 12, []), B75, 1)
-    assert gamma_contains(B75.without_edges([B75.edges[0]]), B75,
-                          Fraction(1, 12 ** 3))
-    with pytest.raises(ValidationError):
-        gamma_contains(B75, complete_3graph(5), 0)
 
 
 def test_extremal_witness_self():

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -407,3 +409,18 @@ def test_verify_certificate_rejects_damage():
 def test_tiling_budget():
     with pytest.raises(BudgetExceededError):
         has_perfect_tiling(B75, K222, budget=5)
+
+
+def test_too_deep_search_is_an_input_error():
+    # the cover nests once per chosen copy, the packing at least as deep:
+    # a perfect matching with more edges than the recursion limit
+    copies = sys.getrecursionlimit() + 50
+    host = build(2, 2 * copies, [(2 * j, 2 * j + 1) for j in range(copies)])
+    edge = build(2, 2, [(0, 1)])
+    for search in (has_perfect_tiling, max_tiling):
+        with pytest.raises(ValidationError) as info:
+            search(host, edge, budget=math.comb(host.n, 2))
+        assert str(info.value) == (
+            f"search too deep for n/t = {host.n}/2: it nests past the interpreter's "
+            f"recursion limit of {sys.getrecursionlimit()}")
+        assert info.value.__suppress_context__

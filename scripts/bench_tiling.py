@@ -18,7 +18,11 @@ the script runs unchanged against any revision with the same public API.
 The `cli-import` row is the exception: `total_s` is the median wall time of
 21 fresh `python -c "import hypertile.cli"` processes, started in the
 caller's environment, and its answer is the list of `hypertile` modules that
-the import loads. Every row states its `unit`.
+the import loads, whether those processes write no bytecode
+(`sys.dont_write_bytecode`, set by `PYTHONDONTWRITEBYTECODE` or `-B`) and
+whether the package had a `__pycache__` when the first one started.  Without
+a bytecode cache every process compiles the package's source, so the row's
+time depends on both. Every row states its `unit`.
 """
 
 from __future__ import annotations
@@ -110,18 +114,22 @@ IMPORT_PROCESSES = 21
 
 
 def _cli_import():
-    """Median wall seconds of fresh interpreters that import the CLI, and
-    the hypertile modules one of them loads."""
+    """Median wall seconds of fresh interpreters that import the CLI; the
+    hypertile modules one of them loads, whether it writes no bytecode, and
+    whether the package had a bytecode cache before the first one ran."""
+    cached = (pathlib.Path(hypertile.__file__).parent / "__pycache__").is_dir()
     times = []
     for _ in range(IMPORT_PROCESSES):
         started = time.perf_counter()
         subprocess.run([sys.executable, "-c", "import hypertile.cli"], check=True)
         times.append(time.perf_counter() - started)
-    modules = subprocess.run(
-        [sys.executable, "-c", "import sys, hypertile.cli; "
-         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'hypertile'))"],
+    no_bytecode, *modules = subprocess.run(
+        [sys.executable, "-c", "import sys, hypertile.cli; print(sys.dont_write_bytecode, "
+         "*sorted(m for m in sys.modules if m.split('.')[0] == 'hypertile'))"],
         capture_output=True, text=True, check=True).stdout.split()
-    return statistics.median(times), {"modules": modules}
+    return statistics.median(times), {"modules": modules,
+                                      "dont_write_bytecode": no_bytecode == "True",
+                                      "pycache_at_start": cached}
 
 
 def _sweep():
@@ -142,6 +150,12 @@ COMPLETE18 = "complete 3-graph n=18"
 ROWS = {
     "barrier99-k222": ("tiling", "has_perfect_tiling(barrier_graph(9, 9), complete_k_partite((2, 2, 2)))",
                        lambda: _tiling(barrier_graph(9, 9).graph, K222)),
+    # Deep K(1,1,1) "none"s: many families of copies leave the same vertices
+    # uncovered, and the cover searches each such state once.
+    "barrier87-k111": ("tiling", "has_perfect_tiling(barrier_graph(8, 7), complete_k_partite((1, 1, 1)))",
+                       lambda: _tiling(barrier_graph(8, 7).graph, K111)),
+    "barrier99-k111": ("tiling", "has_perfect_tiling(barrier_graph(9, 9), complete_k_partite((1, 1, 1)))",
+                       lambda: _tiling(barrier_graph(9, 9).graph, K111)),
     "barrier99-kst322": ("tiling", "has_perfect_tiling(barrier_graph(9, 9), k_st(3, 2, 2))",
                          lambda: _tiling(barrier_graph(9, 9).graph, k_st(3, 2, 2).graph)),
     "sweep-12-18-m2": ("tiling", "hypertile sweep --n-min 12 --n-max 18 -m 2", _sweep),

@@ -29,6 +29,9 @@ vertex bitmask and, per vertex, a column: the bitset of the sets through
 it.  The exact cover and max tiling carry one bitset of the live sets
 (those disjoint from every chosen one), so a vertex's live count is an AND
 and a popcount, and choosing a set clears the columns of its vertices.
+In the exact cover the live sets are exactly those inside the uncovered
+vertices, so the uncovered mask is the whole state of a node, and a state
+that failed once is not searched again.
 """
 
 from __future__ import annotations
@@ -419,8 +422,14 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
     candidates, counted as `(live & cols[v]).bit_count()`, ties to the
     smallest id, failing at once on a vertex with none; try them in
     ascending index (input) order.  The sets through any vertex outside
-    `target` are dead from the start."""
+    `target` are dead from the start, and choosing a set kills the sets
+    through its vertices, so at every node `live` is exactly the sets inside
+    `uncovered`: a node's outcome depends on `uncovered` alone.  An
+    uncovered mask whose options have all failed is remembered in `dead`
+    and fails at once when another family of sets reaches it again, which
+    prunes only failing subtrees and keeps the branch order."""
     chosen: list[int] = []
+    dead: set[int] = set()
     live = (1 << len(sets)) - 1
     for v, col in enumerate(cols):
         if not target >> v & 1:
@@ -429,6 +438,8 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
     def cover(uncovered: int, live: int) -> bool:
         if uncovered == 0:
             return True
+        if uncovered in dead:
+            return False
         best, best_count = -1, len(sets) + 1
         scan = uncovered
         while scan:
@@ -451,6 +462,7 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
                 return True
             chosen.pop()
             options ^= low
+        dead.add(uncovered)
         return False
 
     if cover(target, live):

@@ -20,12 +20,14 @@ from hypertile import (
     max_tiling,
     verify_certificate,
 )
+from hypertile import solver
 from hypertile.solver import (_candidate_tables, _exact_cover_first,
                               _max_packing_first, copies_of_type)
 from hypertile.errors import BudgetExceededError, ValidationError
 
 EDGE = build(3, 3, [(0, 1, 2)])
 K222 = complete_k_partite((2, 2, 2)).graph
+K111 = complete_k_partite((1, 1, 1)).graph
 K112 = complete_k_partite((1, 1, 2)).graph
 K122 = complete_k_partite((1, 2, 2)).graph
 C4 = k_st(3, 2, 2).graph
@@ -261,18 +263,24 @@ def test_max_tiling_saturates_on_perfect_instances():
 
 
 @st.composite
-def set_systems(draw, max_n: int = 9):
+def set_systems(draw, max_n: int = 9, sizes: tuple[int, ...] = (1, 2, 3),
+                max_sets: int = 24):
     """(n, t, sets): t-subsets of range(n) in lexicographic order, as copy
     sets come; half the time they include a planted exact cover, so that
     covers exist and the branch order decides which one comes first."""
     n = draw(st.integers(0, max_n))
-    t = draw(st.integers(1, 3))
+    t = draw(st.sampled_from(sizes))
     pool = list(itertools.combinations(range(n), t))
-    sets = set(draw(st.lists(st.sampled_from(pool), max_size=24)) if pool else [])
+    sets = set(draw(st.lists(st.sampled_from(pool), max_size=max_sets)) if pool else [])
     if n % t == 0 and draw(st.booleans()):
         order = draw(st.permutations(range(n)))
         sets.update(tuple(sorted(order[i:i + t])) for i in range(0, n, t))
     return n, t, sorted(sets)
+
+
+# Deeper systems let different families of sets leave the same vertices
+# uncovered, so the cover meets states that have already failed.
+COVER_SYSTEMS = set_systems() | set_systems(max_n=15, sizes=(2, 3), max_sets=40)
 
 
 COVER_EXAMPLES = (
@@ -290,20 +298,62 @@ def _with_examples(test):
     return test
 
 
+def _cover_calls(run):
+    """run()'s result and the number of calls of the cover's inner search
+    (`cover` in solver.py) that it made."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "cover" and code.co_filename == solver.__file__:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
 @settings(max_examples=300)
 @_with_examples
-@given(set_systems())
+@given(COVER_SYSTEMS)
 def test_exact_cover_matches_the_oracle_rule(system):
     n, _, sets = system
     got = _exact_cover_first(sets, *_candidate_tables(n, sets), (1 << n) - 1)
     assert got == oracles.first_cover(n, sets)
 
 
+def test_exact_cover_meets_a_failed_state_again_before_its_cover():
+    sets = [(0, 2), (0, 5), (0, 7), (1, 2), (1, 4), (1, 6), (2, 3), (2, 8), (2, 9),
+            (3, 5), (4, 8), (4, 9), (6, 7)]
+    # The cover branches on vertex 3.  (2, 3) then (0, 5) leaves
+    # {1, 4, 6, 7, 8, 9}, which fails two calls deeper; (3, 5) then (0, 2)
+    # leaves the same vertices and fails at once, and (3, 5) then (0, 7)
+    # leads to the cover.  Searching the failed state again takes 13 calls.
+    got, calls = _cover_calls(
+        lambda: _exact_cover_first(sets, *_candidate_tables(10, sets), (1 << 10) - 1))
+    assert got == oracles.first_cover(10, sets) == [9, 2, 5, 7, 11]
+    assert calls == 11
+
+
+def test_exact_cover_searches_each_failed_state_once():
+    # barrier(8, 7) has no K(1,1,1)-factor.  Its cover stores 869 failed
+    # uncovered sets; searching one again on each new way of reaching it
+    # took 60,355 calls, searching each once takes 7,674.
+    out, calls = _cover_calls(lambda: has_perfect_tiling(barrier_graph(8, 7).graph, K111))
+    assert out.reason == "exhausted"
+    assert calls <= 8000
+
+
 @st.composite
 def targeted_systems(draw):
     """(n, sets, target): a set system and a vertex mask; half the time the
     sets also hold a planted exact cover of the mask's vertices."""
-    n, t, sets = draw(set_systems())
+    n, t, sets = draw(COVER_SYSTEMS)
     inside = sorted(draw(st.sets(st.integers(0, n - 1)))) if n else []
     if len(inside) % t == 0 and draw(st.booleans()):
         order = draw(st.permutations(inside))

@@ -23,9 +23,8 @@ from .invariants import (CASE_BALANCED, CASE_GCD_ONE, CASE_MIXED,
                          factor_free_codegree, invariants, kst_bound,
                          mycroft_threshold, realisations)
 from .probes import (ExtremalWitness, GoodnessReport, RobustVectorReport,
-                     classify_goodness, closed_set, count_connectors,
-                     extremal_witness, has_transferral, is_close,
-                     robust_vectors)
+                     classify_goodness, count_connectors, extremal_witness,
+                     has_transferral, robust_vectors)
 from .solver import (CopySetEnumeration, Embedding, TilingCertificate,
                      TilingOutcome, contains_copy, copies_of_type,
                      enumerate_copy_sets, has_perfect_tiling, max_tiling,
@@ -86,11 +85,9 @@ __all__ = [
     "GoodnessReport",
     "RobustVectorReport",
     "classify_goodness",
-    "closed_set",
     "count_connectors",
     "extremal_witness",
     "has_transferral",
-    "is_close",
     "robust_vectors",
     "CopySetEnumeration",
     "Embedding",

@@ -65,8 +65,11 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _load_partition(path: str, graph: Hypergraph) -> Partition:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"{path}: unreadable as UTF-8 JSON: {exc}") from None
     if isinstance(data, dict):
         data = data.get("parts")
     if isinstance(data, dict):

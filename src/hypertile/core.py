@@ -1,4 +1,4 @@
-"""k-uniform hypergraphs with exact degree, link, and type queries.
+"""k-uniform hypergraphs with exact degree and induced-subgraph queries.
 
 Vertices are the integers 0..n-1.  Edges are stored as sorted tuples in
 lexicographic order, so equality, hashing, iteration, and file output are
@@ -30,17 +30,13 @@ def vertex_set(vertices: Iterable[int]) -> VertexSet:
 
 
 class Hypergraph:
-    """Immutable k-uniform hypergraph on vertices 0..n-1.
-
-    The public constructor `build` requires k >= 2; 1-uniform instances are
-    permitted internally so that links over (k-1)-sets remain representable.
-    """
+    """Immutable k-uniform hypergraph on vertices 0..n-1, k >= 2."""
 
     __slots__ = ("k", "n", "edges", "_edge_set", "_hash")
 
     def __init__(self, k: int, n: int, edges: Iterable[Iterable[int]] = ()):
-        if k < 1:
-            raise ValidationError(f"uniformity must be at least 1, got {k}")
+        if k < 2:
+            raise ValidationError(f"uniformity must be at least 2, got {k}")
         if n < 0:
             raise ValidationError(f"vertex count must be nonnegative, got {n}")
         canon: set[Edge] = set()
@@ -64,9 +60,6 @@ class Hypergraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def has_edge(self, e: Iterable[int]) -> bool:
         return tuple(sorted(e)) in self._edge_set
@@ -92,11 +85,6 @@ class Hypergraph:
     def with_edges(self, extra: Iterable[Iterable[int]]) -> "Hypergraph":
         """New graph with `extra` edges added (duplicates collapse)."""
         return Hypergraph(self.k, self.n, list(self.edges) + [tuple(e) for e in extra])
-
-    def without_edges(self, removed: Iterable[Iterable[int]]) -> "Hypergraph":
-        """New graph with the given edges removed (missing ones ignored)."""
-        drop = {tuple(sorted(e)) for e in removed}
-        return Hypergraph(self.k, self.n, [e for e in self.edges if e not in drop])
 
     # -- degree queries ------------------------------------------------
 
@@ -146,21 +134,6 @@ class Hypergraph:
 
     # -- restricted views ----------------------------------------------
 
-    def link_graph(self, s_set: Iterable[int]) -> "RelabeledGraph":
-        """The (k-|S|)-graph of neighborhoods of S on the remaining vertices.
-
-        Remaining vertices are relabeled to 0..n-|S|-1 in increasing order
-        of their original ids; the map back is returned alongside.
-        """
-        s = vertex_set(s_set)
-        self._check_vertices(s)
-        if len(s) >= self.k:
-            raise ValidationError(f"link needs |S| < k, got |S| = {len(s)}")
-        keep = [v for v in range(self.n) if v not in set(s)]
-        new_id = {v: i for i, v in enumerate(keep)}
-        edges = [tuple(new_id[v] for v in t) for t in self.neighborhood(s)]
-        return RelabeledGraph(Hypergraph(self.k - len(s), len(keep), edges), tuple(keep))
-
     def induced(self, u_set: Iterable[int]) -> "RelabeledGraph":
         """Subgraph induced on U, relabeled to 0..|U|-1 with a recoverable map."""
         u = vertex_set(u_set)
@@ -169,29 +142,6 @@ class Hypergraph:
         new_id = {v: i for i, v in enumerate(u)}
         edges = [tuple(new_id[v] for v in e) for e in self.edges if uu.issuperset(e)]
         return RelabeledGraph(Hypergraph(self.k, len(u), edges), u)
-
-    def edge_type_count(self, partition: "Partition", t: Iterable[int]) -> int:
-        """Number of edges whose intersection sizes with the parts equal t."""
-        tv = tuple(t)
-        if partition.n != self.n:
-            raise ValidationError(
-                f"partition covers {partition.n} vertices, graph has {self.n}")
-        if len(tv) != len(partition.parts):
-            raise ValidationError(
-                f"type vector has {len(tv)} coordinates, partition has {len(partition.parts)} parts")
-        if any(c < 0 for c in tv):
-            raise ValidationError(f"type vector has a negative coordinate: {tv}")
-        if sum(tv) != self.k:
-            raise ValidationError(f"type vector sums to {sum(tv)}, uniformity is {self.k}")
-        part_of = partition.part_index()
-        count = 0
-        for e in self.edges:
-            profile = [0] * len(partition.parts)
-            for v in e:
-                profile[part_of[v]] += 1
-            if tuple(profile) == tv:
-                count += 1
-        return count
 
     def _check_vertices(self, vs: Iterable[int]) -> None:
         for v in vs:
@@ -216,7 +166,12 @@ class Partition:
 
     def __init__(self, parts: Iterable[Iterable[int]], n: int | None = None,
                  allow_empty: bool = False):
-        canon = tuple(vertex_set(p) for p in parts)
+        raw = [tuple(p) for p in parts]
+        for p in raw:
+            for v in p:
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ValidationError(f"vertex {v!r} is not an integer")
+        canon = tuple(vertex_set(p) for p in raw)
         seen: set[int] = set()
         total = 0
         for i, p in enumerate(canon):
@@ -266,6 +221,4 @@ class Partition:
 
 def build(k: int, n: int, edges: Iterable[Iterable[int]] = ()) -> Hypergraph:
     """Validating constructor; rejects bad arity, repeats, and out-of-range ids."""
-    if k < 2:
-        raise ValidationError(f"uniformity must be at least 2, got {k}")
     return Hypergraph(k, n, edges)

@@ -85,9 +85,12 @@ def write_hg(graph: Hypergraph, sink: TextIO | None = None,
 
 
 def load_hg(path: str) -> Hypergraph:
-    """Read a hypergraph from a file path."""
+    """Read a hypergraph from a file path; text that is not UTF-8 is a FormatError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_hg(fh)
+        try:
+            return parse_hg(fh)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def save_hg(graph: Hypergraph, path: str, comments: Iterable[str] = ()) -> None:

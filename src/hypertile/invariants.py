@@ -109,7 +109,6 @@ def invariants(pattern: Hypergraph) -> InvariantReport:
 CASE_BALANCED = "sizes_one_or_gcd_sizes_gt1"
 CASE_GCD_ONE = "gcd_diffs_eq1"
 CASE_MIXED = "gcd_sizes_eq1_gcd_diffs_gt1"
-CASE_NOT_PARTITE = "not_k_partite"
 
 
 class ThresholdReport(NamedTuple):

@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .budget import charge
-from .core import Hypergraph, Partition, TypeVector, vertex_set
+from .core import Hypergraph, Partition, TypeVector
 from .errors import ValidationError
 # has_perfect_tiling stays bound here because hbench's tracer self-test reads it.
 from .solver import _candidate_tables, _exact_cover_first, enumerate_copy_sets, has_perfect_tiling
@@ -45,23 +45,6 @@ def close_threshold(host: Hypergraph, pattern: Hypergraph, i: int, eta) -> Fract
     return eta_f * host.n ** _connector_size(host, pattern, i)
 
 
-def _connector_counts(host: Hypergraph, pattern: Hypergraph, pairs: Sequence[tuple[int, int]],
-                      i: int, budget: int | None) -> Iterator[int]:
-    """Connector counts of the pairs in turn, over one copy-set table of the host."""
-    size = _connector_size(host, pattern, i)
-    charge(math.comb(host.n - 2, size), budget, "connector enumeration")
-    sets = enumerate_copy_sets(host, pattern, budget=budget).sets
-    masks, cols = _candidate_tables(host.n, sets)
-
-    def tiles(target: int) -> bool:
-        return _exact_cover_first(sets, masks, cols, target) is not None
-
-    for x, y in pairs:
-        others = [1 << v for v in range(host.n) if v != x and v != y]
-        yield sum(1 for s in itertools.combinations(others, size)
-                  if tiles(sum(s) | 1 << x) and tiles(sum(s) | 1 << y))
-
-
 def count_connectors(host: Hypergraph, pattern: Hypergraph, x: int, y: int,
                      i: int, budget: int | None = None) -> int:
     """Number of (x, y)-connectors of length i.
@@ -76,36 +59,17 @@ def count_connectors(host: Hypergraph, pattern: Hypergraph, x: int, y: int,
     for v in (x, y):
         if v < 0 or v >= host.n:
             raise ValidationError(f"vertex {v} out of range 0..{host.n - 1}")
-    return next(_connector_counts(host, pattern, [(x, y)], i, budget))
+    size = _connector_size(host, pattern, i)
+    charge(math.comb(host.n - 2, size), budget, "connector enumeration")
+    sets = enumerate_copy_sets(host, pattern, budget=budget).sets
+    masks, cols = _candidate_tables(host.n, sets)
 
+    def tiles(target: int) -> bool:
+        return _exact_cover_first(sets, masks, cols, target) is not None
 
-def is_close(host: Hypergraph, pattern: Hypergraph, x: int, y: int, i: int,
-             eta, budget: int | None = None) -> bool:
-    """Whether x and y have at least eta * n^(ti-1) connectors of length i.
-
-    The threshold comparison is exact rational, never floating point.
-    """
-    threshold = close_threshold(host, pattern, i, eta)
-    return count_connectors(host, pattern, x, y, i, budget=budget) >= threshold
-
-
-def closed_set(host: Hypergraph, pattern: Hypergraph, vertices: Iterable[int],
-               i: int, eta, budget: int | None = None) -> bool:
-    """Whether every pair within the set is (i, eta)-close.
-
-    Sets with at most one vertex are closed vacuously.  All pairs are
-    counted over one copy-set table of the host.
-    """
-    vs = vertex_set(vertices)
-    for v in vs:
-        if v < 0 or v >= host.n:
-            raise ValidationError(f"vertex {v} out of range 0..{host.n - 1}")
-    if len(vs) < 2:
-        return True
-    threshold = close_threshold(host, pattern, i, eta)
-    pairs = list(itertools.combinations(vs, 2))
-    return all(count >= threshold
-               for count in _connector_counts(host, pattern, pairs, i, budget))
+    others = [1 << v for v in range(host.n) if v != x and v != y]
+    return sum(1 for s in itertools.combinations(others, size)
+               if tiles(sum(s) | 1 << x) and tiles(sum(s) | 1 << y))
 
 
 class RobustVectorReport(NamedTuple):
@@ -114,8 +78,6 @@ class RobustVectorReport(NamedTuple):
     counts: dict[TypeVector, int]
     robust: tuple[TypeVector, ...]
     mu: Fraction
-    host_order: int
-    pattern_order: int
     parts: int
 
     @property
@@ -148,8 +110,6 @@ def robust_vectors(host: Hypergraph, pattern: Hypergraph, partition: Partition,
         counts=counts,
         robust=robust,
         mu=mu_f,
-        host_order=host.n,
-        pattern_order=pattern.n,
         parts=len(partition.parts),
     )
 
@@ -253,13 +213,13 @@ class ExtremalWitness(NamedTuple):
 EXHAUSTIVE_SPLIT_LIMIT = 16
 
 
-def extremal_witness(host: Hypergraph, gamma,
-                     exhaustive_limit: int = EXHAUSTIVE_SPLIT_LIMIT) -> ExtremalWitness:
+def extremal_witness(host: Hypergraph, gamma) -> ExtremalWitness:
     """Search for a balanced split (A, B), |A| <= |B|, with the barrier graph
     on it gamma-contained in the host.
 
-    Exhaustive over all splits up to the limit; beyond it a deterministic
-    greedy swap search runs and the result is flagged non-exhaustive.
+    Exhaustive over all splits up to EXHAUSTIVE_SPLIT_LIMIT vertices; beyond
+    it a deterministic greedy swap search runs and the result is flagged
+    non-exhaustive.
     """
     if host.k != 3:
         raise ValidationError(f"extremal witness applies to 3-graphs, got k = {host.k}")
@@ -282,15 +242,15 @@ def extremal_witness(host: Hypergraph, gamma,
                 present += 1
         return barrier_total - present
 
-    def witness(a_set: tuple[int, ...], missing: int) -> ExtremalWitness:
+    def witness(a_set: tuple[int, ...], missing: int, exhaustive: bool) -> ExtremalWitness:
         b_set = tuple(v for v in range(n) if v not in set(a_set))
-        return ExtremalWitness(Partition([a_set, b_set], n), True, missing)
+        return ExtremalWitness(Partition([a_set, b_set], n), exhaustive, missing)
 
-    if n <= exhaustive_limit:
+    if n <= EXHAUSTIVE_SPLIT_LIMIT:
         for a_set in itertools.combinations(range(n), a_size):
             missing = missing_for(sum(1 << v for v in a_set))
             if Fraction(missing) <= allowance:
-                return witness(a_set, missing)
+                return witness(a_set, missing, True)
         return ExtremalWitness(None, True, None)
 
     # Greedy: start from the identity split, take the first strictly
@@ -315,7 +275,5 @@ def extremal_witness(host: Hypergraph, gamma,
             if improved:
                 break
     if Fraction(missing) <= allowance:
-        a_set = tuple(sorted(a_list))
-        b_set = tuple(v for v in range(n) if v not in set(a_set))
-        return ExtremalWitness(Partition([a_set, b_set], n), False, missing)
+        return witness(tuple(sorted(a_list)), missing, False)
     return ExtremalWitness(None, False, None)

@@ -86,7 +86,6 @@ class CopySetEnumeration(NamedTuple):
     """All pattern-spanned vertex sets, with one witness embedding each."""
 
     sets: tuple[VertexSet, ...]
-    truncated: bool
     witnesses: dict[VertexSet, Embedding]
 
 
@@ -353,10 +352,7 @@ def _scan_order(parts: tuple[VertexSet, ...]
     t = sum(map(len, parts))
     scan = []
     for assignment in _partitions_with_sizes(tuple(range(t)), tuple(map(len, parts))):
-        # a 1-uniform pattern's transversals are single positions; a slice
-        # keeps them tuples
-        getters = tuple(itemgetter(*tr) if len(tr) > 1 else itemgetter(slice(tr[0], tr[0] + 1))
-                        for tr in map(sorted, itertools.product(*assignment)))
+        getters = tuple(itemgetter(*sorted(tr)) for tr in itertools.product(*assignment))
         positions = [-1] * t
         for fpart, hpart in zip(parts, assignment):
             for fv, i in zip(fpart, hpart):
@@ -380,36 +376,29 @@ def _spans(host: Hypergraph, parts: tuple[VertexSet, ...],
 
 
 def enumerate_copy_sets(host: Hypergraph, pattern: Hypergraph,
-                        limit: int | None = None,
                         budget: int | None = None) -> CopySetEnumeration:
     """All vertex sets spanned by a pattern copy, in lexicographic order.
 
     The sets are grown by the embedder (`_copy_masks`).  A set's witness is
     the first embedding that reached it, or for a complete partite pattern
-    the partition scan's (`_spans`).  `limit` caps the number of collected
-    sets; hitting it is reported via the truncated flag.  The number of
-    t-subsets, C(n, t), is charged to the budget.
+    the partition scan's (`_spans`).  The number of t-subsets, C(n, t), is
+    charged to the budget.
     """
     _check_pair(host, pattern)
     if pattern.n == 0:
         raise ValidationError("pattern has no vertices")
-    if limit is not None and limit < 1:
-        raise ValidationError(f"limit must be positive, got {limit}")
     if pattern.n > host.n:
-        return CopySetEnumeration((), False, {})
+        return CopySetEnumeration((), {})
     charge(math.comb(host.n, pattern.n), budget, "copy-set enumeration")
     found = sorted((tuple(sorted(images)), images)
                    for images in _copy_masks(host, pattern).values())
-    truncated = limit is not None and len(found) > limit
-    if truncated:
-        del found[limit:]
     sets = tuple(s for s, _ in found)
     parts = _plan(pattern).parts
     if parts is None:
         witnesses = {s: Embedding(images) for s, images in found}
     else:
         witnesses = {s: _spans(host, parts, s) for s in sets}
-    return CopySetEnumeration(sets, truncated, witnesses)
+    return CopySetEnumeration(sets, witnesses)
 
 
 # -- exact cover -------------------------------------------------------------
@@ -568,8 +557,7 @@ def max_tiling(host: Hypergraph, pattern: Hypergraph,
 
 
 def copies_of_type(host: Hypergraph, pattern: Hypergraph, partition: Partition,
-                   type_vector: Sequence[int], limit: int | None = None,
-                   budget: int | None = None) -> list[VertexSet]:
+                   type_vector: Sequence[int], budget: int | None = None) -> list[VertexSet]:
     """Copy sets whose intersection profile with the partition equals the type."""
     tv = tuple(type_vector)
     if partition.n != host.n:
@@ -583,16 +571,8 @@ def copies_of_type(host: Hypergraph, pattern: Hypergraph, partition: Partition,
     if sum(tv) != pattern.n:
         raise ValidationError(
             f"type vector sums to {sum(tv)}, pattern has {pattern.n} vertices")
-    if limit is not None and limit < 1:
-        raise ValidationError(f"limit must be positive, got {limit}")
     enum = enumerate_copy_sets(host, pattern, budget=budget)
-    out: list[VertexSet] = []
-    for s in enum.sets:
-        if partition.index_vector(s) == tv:
-            out.append(s)
-            if limit is not None and len(out) == limit:
-                break
-    return out
+    return [s for s in enum.sets if partition.index_vector(s) == tv]
 
 
 def verify_certificate(host: Hypergraph, pattern: Hypergraph,

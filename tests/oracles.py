@@ -176,24 +176,20 @@ def first_witness(host_edges, pat_edges, vertex_set, order, partite: bool):
 
 
 def copy_sets_by_scan(n: int, host_edges, pat_n: int, pat_edges, order,
-                      partite: bool, limit=None):
+                      partite: bool):
     """Copy-set enumeration by scanning every pat_n-subset of range(n) in
     lexicographic order, with first_witness as the witness rule.
 
-    Returns (sets, witnesses, truncated): the first `limit` spanned subsets
-    (all of them when limit is None), each one's witness images, and
-    whether a further spanned subset follows them.
+    Returns (sets, witnesses): the spanned subsets and each one's witness
+    images.
     """
     sets, witnesses = [], {}
     for subset in itertools.combinations(range(n), pat_n):
         witness = first_witness(host_edges, pat_edges, subset, order, partite)
-        if witness is None:
-            continue
-        if limit is not None and len(sets) == limit:
-            return tuple(sets), witnesses, True
-        sets.append(subset)
-        witnesses[subset] = witness
-    return tuple(sets), witnesses, False
+        if witness is not None:
+            sets.append(subset)
+            witnesses[subset] = witness
+    return tuple(sets), witnesses
 
 
 def first_copy(n: int, host_edges, pat_edges, order):

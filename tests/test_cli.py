@@ -190,6 +190,27 @@ def test_tile_partition_requires_type(capsys, tmp_path, b75_path, k222_path):
     assert "--partition requires --type" in err
 
 
+BAD_PARTITIONS = {
+    "malformed-json": b"[[0, 1, 2, 3, 4, 5, 6], [7, 8",
+    "not-utf8": b"\xff\xfe[[0, 1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11]]",
+    "too-deep-json": b"[" * 100_000 + b"]" * 100_000,
+    "float-vertex": b"[[0, 1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11.5]]",
+    "bool-vertex": b"[[false, true, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11]]",
+}
+
+
+@pytest.mark.parametrize("content", BAD_PARTITIONS.values(), ids=BAD_PARTITIONS)
+def test_bad_partition_file_is_an_input_error(capsys, tmp_path, b75_path, k222_path, content):
+    parts = tmp_path / "parts.json"
+    parts.write_bytes(content)
+    for argv in (["tile", b75_path, "--pattern", k222_path, "--type", "6,0"],
+                 ["probe", "robust", b75_path, "--pattern", k222_path, "--mu", "0"]):
+        code, out, err = run(capsys, argv + ["--partition", str(parts)])
+        assert code == 1 and out == ""
+        assert err.startswith("hypertile: error: ") and err.count("\n") == 1
+        assert str(parts) in err or "is not an integer" in err
+
+
 def test_probe_connectors(capsys, tmp_path):
     host = write_pattern(tmp_path, "k333.hg", 3, 9,
                          [(a, b, c) for a in range(3)
@@ -209,9 +230,9 @@ def test_probe_connectors(capsys, tmp_path):
 
 def test_probe_close_counts_connectors_once(capsys, tmp_path, monkeypatch):
     import hypertile.cli as cli
-    import hypertile.probes as probes
     from fractions import Fraction
-    from hypertile import count_connectors, is_close
+    from hypertile import count_connectors
+    from hypertile.probes import close_threshold
     host = write_pattern(tmp_path, "k333.hg", 3, 9,
                          [(a, b, c) for a in range(3)
                           for b in range(3, 6) for c in range(6, 9)])
@@ -223,9 +244,7 @@ def test_probe_close_counts_connectors_once(capsys, tmp_path, monkeypatch):
         calls.append(args)
         return count_connectors(*args, **kwargs)
 
-    # every binding a CLI path could reach, so a count via is_close shows too
     monkeypatch.setattr(cli, "count_connectors", counted)
-    monkeypatch.setattr(probes, "count_connectors", counted)
     argv = ["probe", "close", host, "--pattern", pattern, "-x", "0", "-y", "1"]
     # 9 connectors against thresholds 9 and 81/8
     for eta, close in (("1/9", True), ("1/8", False)):
@@ -234,7 +253,7 @@ def test_probe_close_counts_connectors_once(capsys, tmp_path, monkeypatch):
         doc = json.loads(out)
         assert code == 0 and len(calls) == 1
         assert doc["count"] == count_connectors(g, f, 0, 1, 1) == 9
-        assert doc["close"] is close is is_close(g, f, 0, 1, 1, Fraction(eta))
+        assert doc["close"] is close is (9 >= close_threshold(g, f, 1, Fraction(eta)))
     calls.clear()
     code, out, err = run(capsys, argv + ["--eta=-1/9"])
     assert code == 1 and out == "" and "eta must be nonnegative" in err

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from hypertile import (
     balanced_split,
     barrier_graph,
+    build,
     c4_factor_codegree,
     complete_k_partite,
     cone_graph,
@@ -165,8 +166,7 @@ def test_mirrored_partition_of_fortified_is_free():
     a = set(lc.part("A"))
     mirrored_only = [e for e in lc.graph.edges
                      if sum(1 for v in e if v in a) == 2]
-    g = lc.graph.without_edges(
-        [e for e in lc.graph.edges if e not in set(mirrored_only)])
+    g = build(3, lc.graph.n, mirrored_only)
     assert contains_copy(g, K122) is None
 
 

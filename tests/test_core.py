@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from conftest import hypergraphs
-from hypertile import Partition, build, vertex_set
+from hypertile import Hypergraph, Partition, build, vertex_set
 from hypertile.errors import ValidationError
 
 
@@ -20,6 +20,8 @@ def test_build_canonicalizes_edges():
 def test_build_rejects_bad_input():
     with pytest.raises(ValidationError):
         build(0, 3, [])
+    with pytest.raises(ValidationError):
+        Hypergraph(1, 2, [(0,)])  # the class, too, is at least 2-uniform
     with pytest.raises(ValidationError):
         build(3, -1, [])
     with pytest.raises(ValidationError):
@@ -39,12 +41,11 @@ def test_has_edge_and_edge_set():
     assert g.edge_set() == frozenset({(0, 1, 2)})
 
 
-def test_with_and_without_edges():
+def test_with_edges():
     g = build(3, 5, [(0, 1, 2)])
     h = g.with_edges([(1, 2, 3)])
     assert h.edges == ((0, 1, 2), (1, 2, 3))
     assert g.edges == ((0, 1, 2),)  # original untouched
-    assert h.without_edges([(0, 1, 2)]).edges == ((1, 2, 3),)
 
 
 @given(hypergraphs(max_n=7))
@@ -83,18 +84,9 @@ def test_degree_on_full_edge_is_membership():
 
 @given(hypergraphs(max_n=7, min_edges=1))
 def test_min_s_degree_monotone_under_deletion(g):
-    smaller = g.without_edges([g.edges[0]])
+    smaller = build(g.k, g.n, g.edges[1:])
     for s in (1, 2):
         assert smaller.min_s_degree(s) <= g.min_s_degree(s)
-
-
-def test_link_graph():
-    g = build(3, 5, [(0, 1, 2), (0, 1, 3), (1, 2, 3)])
-    link = g.link_graph((0,))
-    assert link.graph.k == 2
-    # link vertices are relabeled 0..n-2; lift back through the map
-    lifted = {tuple(sorted(link.vertices[v] for v in e)) for e in link.graph.edges}
-    assert lifted == {(1, 2), (1, 3)}
 
 
 def test_induced_subgraph():
@@ -111,16 +103,6 @@ def test_induced_on_full_vertex_set_is_identity(g):
     assert all(sub.vertices[v] == v for v in range(g.n))
 
 
-@given(hypergraphs(max_n=6, min_n=4))
-def test_edge_type_counts_partition_the_edges(g):
-    parts = Partition([range(0, 2), range(2, g.n)], g.n)
-    total = 0
-    for t0 in range(g.k + 1):
-        t1 = g.k - t0
-        total += g.edge_type_count(parts, (t0, t1))
-    assert total == g.edge_count
-
-
 def test_partition_validation():
     with pytest.raises(ValidationError):
         Partition([[0, 1], [1, 2]], 3)  # overlap
@@ -130,6 +112,10 @@ def test_partition_validation():
         Partition([[0, 1], []], 2)  # empty class
     p = Partition([[0, 1], []], 2, allow_empty=True)
     assert p.sizes == (2, 0)
+    # ids come from JSON files too: floats, bools and strings are not vertices
+    for parts in ([[0, 1], [2, 3.0]], [[False, True], [2, 3]], [["0", 1], [2, 3]]):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            Partition(parts, 4)
 
 
 def test_index_vector():

@@ -69,6 +69,13 @@ def test_comment_lines_count_toward_numbering():
         parse_hg("# head\n3 3\n# body\n0 1\n")
 
 
+def test_load_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bin.hg"
+    path.write_bytes(b"3 3\n0 1 \xff\n")
+    with pytest.raises(FormatError, match="not UTF-8"):
+        load_hg(str(path))
+
+
 def test_file_round_trip(tmp_path):
     g = build(3, 5, [(0, 1, 4), (1, 2, 3)])
     path = tmp_path / "g.hg"

@@ -11,18 +11,15 @@ from hypertile import (
     barrier_graph,
     build,
     classify_goodness,
-    closed_set,
     complete_k_partite,
     count_connectors,
-    enumerate_copy_sets,
     extremal_witness,
     has_transferral,
-    is_close,
     k_st,
     robust_vectors,
 )
 import hypertile.probes as probes
-from hypertile.probes import _lattice_member
+from hypertile.probes import _lattice_member, close_threshold
 from hypertile.errors import BudgetExceededError, ValidationError
 
 EDGE = build(3, 3, [(0, 1, 2)])
@@ -105,62 +102,15 @@ def test_connectors_match_the_tiling_oracle(case):
     assert count_connectors(host, pattern, x, y, i) == expected
 
 
-@settings(max_examples=30)
-@given(connector_cases(), st.data())
-def test_closed_set_agrees_with_the_pair_counts(case, data):
-    # thresholds at every pair's count: closed exactly when the smallest
-    # count reaches the threshold, so the shared table counts every pair
-    host, pattern, _, _, i = case
-    vs = data.draw(st.sets(st.integers(0, host.n - 1), min_size=3, max_size=4))
-    counts = [count_connectors(host, pattern, a, b, i)
-              for a, b in itertools.combinations(sorted(vs), 2)]
-    scale = host.n ** (pattern.n * i - 1)
-    for c in set(counts) | {max(counts) + 1}:
-        assert closed_set(host, pattern, vs, i, Fraction(c, scale)) == (min(counts) >= c)
-
-
-def test_closed_set_enumerates_once(monkeypatch):
-    cases = [(vs, eta) for vs in ((0, 1, 2), (0, 1, 3), (0, 3, 6))
-             for eta in (0, Fraction(1, 9), Fraction(1, 8))]
-    expected = [all(is_close(K333, EDGE, a, b, 1, eta)
-                    for a, b in itertools.combinations(vs, 2)) for vs, eta in cases]
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return enumerate_copy_sets(*args, **kwargs)
-
-    monkeypatch.setattr(probes, "enumerate_copy_sets", counted)
-    for (vs, eta), closed in zip(cases, expected):
-        calls.clear()
-        assert closed_set(K333, EDGE, vs, 1, eta) is closed
-        assert len(calls) == 1
-
-
-def test_is_close_thresholds():
-    assert is_close(K333, EDGE, 0, 1, 1, 0)
-    assert not is_close(K333, EDGE, 0, 1, 1, 1)
-    # exact rational comparison: 9 connectors vs eta * 9^2
-    assert is_close(K333, EDGE, 0, 1, 1, Fraction(1, 9))
-    assert not is_close(K333, EDGE, 0, 1, 1, Fraction(1, 9) + Fraction(1, 1000))
+def test_close_threshold_is_exact():
+    # `probe close` compares the 9 connectors of (0, 1) against eta * 9^2
+    # in rational arithmetic: 1/9 reaches 9 exactly, a hair more does not
+    assert close_threshold(K333, EDGE, 1, 0) == 0
+    assert close_threshold(K333, EDGE, 1, Fraction(1, 9)) == 9
+    assert close_threshold(K333, EDGE, 1, Fraction(1, 9) + Fraction(1, 1000)) > 9
+    assert close_threshold(K333, EDGE, 1, 1) == 81
     with pytest.raises(ValidationError):
-        is_close(K333, EDGE, 0, 1, 1, -1)
-
-
-@given(st.fractions(min_value=0, max_value=1), st.fractions(min_value=0, max_value=1))
-def test_is_close_monotone_in_eta(e1, e2):
-    lo, hi = sorted((e1, e2))
-    if is_close(K333, EDGE, 0, 1, 1, hi):
-        assert is_close(K333, EDGE, 0, 1, 1, lo)
-
-
-def test_closed_set():
-    assert closed_set(K333, EDGE, (), 1, 1)  # vacuous
-    assert closed_set(K333, EDGE, (4,), 1, 1)  # vacuous
-    assert closed_set(K333, EDGE, (0, 1, 2), 1, Fraction(1, 9))
-    assert not closed_set(K333, EDGE, (0, 3), 1, Fraction(1, 100))
-    with pytest.raises(ValidationError):
-        closed_set(K333, EDGE, (0, 99), 1, 0)
+        close_threshold(K333, EDGE, 1, -1)
 
 
 def test_robust_vectors_fixture():
@@ -253,7 +203,7 @@ def test_goodness_empty_against_complete():
 
 def test_goodness_counts_missing_edges_per_vertex():
     lost = B75.edges[0]
-    host = B75.without_edges([lost])
+    host = build(3, 12, [e for e in B75.edges if e != lost])
     rep = classify_goodness(host, B75, 0)
     for v in range(12):
         assert rep.difference_degrees[v] == (1 if v in lost else 0)
@@ -291,9 +241,10 @@ def test_extremal_witness_on_complete_host():
     assert w.partition is not None and w.missing_edges == 0
 
 
-def test_extremal_witness_greedy_path():
+def test_extremal_witness_greedy_path(monkeypatch):
+    monkeypatch.setattr(probes, "EXHAUSTIVE_SPLIT_LIMIT", 4)
     lc = barrier_graph(6, 7)
-    w = extremal_witness(lc.graph, 0, exhaustive_limit=4)
+    w = extremal_witness(lc.graph, 0)
     assert not w.exhaustive
     assert w.partition is not None and w.missing_edges == 0
 

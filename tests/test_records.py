@@ -27,17 +27,15 @@ RECORDS = [
      "TilingCertificate(embeddings=(Embedding(images=(0, 1, 2)),), covered=(0, 1, 2))"),
     (TilingOutcome(None, "exhausted"), ("certificate", "reason"),
      "TilingOutcome(certificate=None, reason='exhausted')"),
-    (CopySetEnumeration(((0, 1, 2),), False, {(0, 1, 2): EMB}),
-     ("sets", "truncated", "witnesses"),
-     "CopySetEnumeration(sets=((0, 1, 2),), truncated=False, "
-     "witnesses={(0, 1, 2): Embedding(images=(0, 1, 2))})"),
+    (CopySetEnumeration(((0, 1, 2),), {(0, 1, 2): EMB}),
+     ("sets", "witnesses"),
+     "CopySetEnumeration(sets=((0, 1, 2),), witnesses={(0, 1, 2): Embedding(images=(0, 1, 2))})"),
     (_Plan(None, (0, 1, 2), ((), (), ((0, 1),)), (-1, 0, 1)),
      ("parts", "order", "checks", "twin"),
      "_Plan(parts=None, order=(0, 1, 2), checks=((), (), ((0, 1),)), twin=(-1, 0, 1))"),
-    (RobustVectorReport({(1, 2): 3}, ((1, 2),), Fraction(1, 2), 3, 3, 2),
-     ("counts", "robust", "mu", "host_order", "pattern_order", "parts"),
-     "RobustVectorReport(counts={(1, 2): 3}, robust=((1, 2),), mu=Fraction(1, 2), "
-     "host_order=3, pattern_order=3, parts=2)"),
+    (RobustVectorReport({(1, 2): 3}, ((1, 2),), Fraction(1, 2), 2),
+     ("counts", "robust", "mu", "parts"),
+     "RobustVectorReport(counts={(1, 2): 3}, robust=((1, 2),), mu=Fraction(1, 2), parts=2)"),
     (GoodnessReport((True,), (0,), Fraction(1)),
      ("good", "difference_degrees", "threshold"),
      "GoodnessReport(good=(True,), difference_degrees=(0,), threshold=Fraction(1, 1))"),
@@ -89,7 +87,7 @@ def test_record_properties_and_methods():
     assert Embedding((4, 0, 2)).vertex_set == (0, 2, 4)
     assert TilingOutcome(TilingCertificate((EMB,), (0, 1, 2)), "found").found
     assert not TilingOutcome(None, "exhausted").found
-    assert RobustVectorReport({(1, 2): 3, (3, 0): 4}, (), Fraction(0), 3, 3, 2).total == 7
+    assert RobustVectorReport({(1, 2): 3, (3, 0): 4}, (), Fraction(0), 2).total == 7
     assert ExperimentReport("x", {}, ({"passed": True}, {})).passed
     assert not ExperimentReport("x", {}, ({"passed": True}, {"passed": False})).passed
     construction = LabeledConstruction("x", build(3, 4, []), Partition([[0, 1], [2, 3]], 4),

@@ -64,7 +64,6 @@ def test_contains_copy_validation():
 def test_enumerate_copy_sets_fixtures():
     enum = enumerate_copy_sets(K222, K222)
     assert enum.sets == ((0, 1, 2, 3, 4, 5),)
-    assert not enum.truncated
 
     two_edges = build(3, 6, [(0, 1, 2), (3, 4, 5)])
     enum = enumerate_copy_sets(complete_3graph(6), two_edges)
@@ -165,22 +164,18 @@ SCAN_CASES = (
 
 @settings(max_examples=150)
 @given(case=st.sampled_from(SCAN_CASES), extra=st.integers(0, 2),
-       p=st.sampled_from((0.4, 0.7, 1.0)), seed=st.integers(0, 2 ** 16),
-       limit=st.none() | st.integers(1, 12))
-def test_copy_sets_match_the_subset_scan(case, extra, p, seed, limit):
+       p=st.sampled_from((0.4, 0.7, 1.0)), seed=st.integers(0, 2 ** 16))
+def test_copy_sets_match_the_subset_scan(case, extra, p, seed):
     pattern, order, partite = case
     host = _random_host(pattern.k, pattern.n + extra, p, seed)
-    enum = enumerate_copy_sets(host, pattern, limit=limit)
-    sets, witnesses, truncated = oracles.copy_sets_by_scan(
-        host.n, host.edges, pattern.n, pattern.edges, order, partite, limit)
+    enum = enumerate_copy_sets(host, pattern)
+    sets, witnesses = oracles.copy_sets_by_scan(
+        host.n, host.edges, pattern.n, pattern.edges, order, partite)
     assert enum.sets == sets
     assert {vs: w.images for vs, w in enum.witnesses.items()} == witnesses
-    assert enum.truncated == truncated
 
 
-def test_enumerate_copy_sets_limit_and_budget():
-    enum = enumerate_copy_sets(B75, C4, limit=5)
-    assert len(enum.sets) == 5 and enum.truncated
+def test_enumerate_copy_sets_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_copy_sets(B75, C4, budget=10)
 
@@ -278,9 +273,40 @@ def set_systems(draw, max_n: int = 9, sizes: tuple[int, ...] = (1, 2, 3),
     return n, t, sorted(sets)
 
 
+# Sizes of two vertex groups that t does not divide but whose sum it does.
+OUTSIDE_SIZES = {2: ((5, 5), (5, 7)), 3: ((4, 5), (5, 7))}
+
+
+@st.composite
+def block_cover_systems(draw):
+    """(n, t, sets): a block of vertices with several planted exact covers,
+    next to two groups that carry every t-set inside them, and an exact
+    cover of range(n) whose two sets that leave the block take each group's
+    remainder mod t.  Every way of covering the block leaves both groups
+    uncovered, a state that has no cover and fails after a search, so the
+    cover meets it again before it finds the crossing cover."""
+    t = draw(st.sampled_from((2, 3)))
+    g1, g2 = draw(st.sampled_from(OUTSIDE_SIZES[t]))
+    b = t * draw(st.integers(2, 3))
+    order = draw(st.permutations(range(b + g1 + g2)))
+    block, groups = order[:b], (order[b:b + g1], order[b + g1:])
+    sets = {c for g in groups for c in itertools.combinations(sorted(g), t)}
+    for _ in range(draw(st.integers(2, 4))):
+        perm = draw(st.permutations(block))
+        sets.update(tuple(sorted(perm[i:i + t])) for i in range(0, b, t))
+    perm = draw(st.permutations(block))
+    r1, r2 = g1 % t, g2 % t
+    sets.add(tuple(sorted(groups[0][:r1] + perm[:t - r1])))
+    sets.add(tuple(sorted(groups[1][:r2] + perm[t - r1:t])))
+    sets.update(tuple(sorted(perm[i:i + t])) for i in range(t, b, t))
+    return len(order), t, sorted(sets)
+
+
 # Deeper systems let different families of sets leave the same vertices
-# uncovered, so the cover meets states that have already failed.
-COVER_SYSTEMS = set_systems() | set_systems(max_n=15, sizes=(2, 3), max_sets=40)
+# uncovered, so the cover meets states that have already failed; the block
+# systems meet them before a cover.
+COVER_SYSTEMS = (set_systems() | set_systems(max_n=15, sizes=(2, 3), max_sets=40)
+                 | block_cover_systems())
 
 
 COVER_EXAMPLES = (

@@ -15,6 +15,10 @@ time inside `has_perfect_tiling` and `max_tiling` minus the enumeration they
 run); probe rows add the number of enumerations and of `has_perfect_tiling`
 calls. The split comes from wrappers on the package's public functions, so
 the script runs unchanged against any revision with the same public API.
+Tiling and probe rows also give `cover_calls`: the calls of the exact
+cover's and the max packing's inner searches (`cover` and `search` in
+`solver.py`), counted with `sys.setprofile` in one extra run that is not
+timed, so a speed-up reads as fewer nodes or as cheaper ones.
 The `cli-import` row is the exception: `total_s` is the median wall time of
 21 fresh `python -c "import hypertile.cli"` processes, started in the
 caller's environment, and its answer is the list of `hypertile` modules that
@@ -225,6 +229,27 @@ def _package_meta() -> dict:
     return {"src_lines": lines, "git_revision": revision}
 
 
+SEARCHES = ("cover", "search")
+
+
+def _search_calls(run) -> int:
+    """Calls of the tiling searches' inner functions during one run()."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name in SEARCHES and code.co_filename == solver.__file__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def measure(name: str, repeat: int) -> dict:
     """The row's fastest run (the import row: its median), with its layer
     split and its answer."""
@@ -267,7 +292,7 @@ def measure(name: str, repeat: int) -> dict:
             best["answer"] = {k: v for k, v in answer.items() if k != "copies"}
             best["answer_sha256"] = hashlib.sha256(
                 json.dumps(answer, sort_keys=True).encode()).hexdigest()
-    return {**best, **_package_meta()}
+    return {**best, "cover_calls": _search_calls(run), **_package_meta()}
 
 
 def main() -> int:

@@ -162,7 +162,7 @@ class RelabeledGraph(NamedTuple):
 class Partition:
     """Ordered partition of the vertex set 0..n-1 into disjoint parts."""
 
-    __slots__ = ("parts", "n")
+    __slots__ = ("parts", "n", "_part_of")
 
     def __init__(self, parts: Iterable[Iterable[int]], n: int | None = None,
                  allow_empty: bool = False):
@@ -188,20 +188,22 @@ class Partition:
             raise ValidationError(f"parts do not partition 0..{n - 1}")
         self.parts = canon
         self.n = n
+        part_of = [0] * n
+        for i, p in enumerate(canon):
+            for v in p:
+                part_of[v] = i
+        self._part_of = tuple(part_of)
 
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.parts)
-
-    def part_index(self) -> dict[int, int]:
-        return {v: i for i, p in enumerate(self.parts) for v in p}
 
     def index_vector(self, s_set: Iterable[int]) -> TypeVector:
         """Intersection sizes of S with each part, in part order."""
         s = vertex_set(s_set)
         if any(v < 0 or v >= self.n for v in s):
             raise ValidationError(f"vertex set {s} not within ground set 0..{self.n - 1}")
-        part_of = self.part_index()
+        part_of = self._part_of
         profile = [0] * len(self.parts)
         for v in s:
             profile[part_of[v]] += 1

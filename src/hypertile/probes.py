@@ -62,10 +62,10 @@ def count_connectors(host: Hypergraph, pattern: Hypergraph, x: int, y: int,
     size = _connector_size(host, pattern, i)
     charge(math.comb(host.n - 2, size), budget, "connector enumeration")
     sets = enumerate_copy_sets(host, pattern, budget=budget).sets
-    masks, cols = _candidate_tables(host.n, sets)
+    tables = _candidate_tables(host.n, sets)
 
     def tiles(target: int) -> bool:
-        return _exact_cover_first(sets, masks, cols, target) is not None
+        return _exact_cover_first(sets, *tables, target) is not None
 
     others = [1 << v for v in range(host.n) if v != x and v != y]
     return sum(1 for s in itertools.combinations(others, size)

@@ -22,7 +22,8 @@ with the first embedding that reaches it as its witness; only for complete
 partite patterns is the witness instead the partition scan's: the set's
 vertices, in increasing order, each join the first part (parts sorted by
 size) that still has room, and the first assignment whose transversals are
-all host edges wins.
+all host edges wins.  A witness is found when it is first read, so a search
+that returns no copy builds none.
 
 Tilings are searched over one table of the host's copy sets: each set's
 vertex bitmask and, per vertex, a column: the bitset of the sets through
@@ -30,8 +31,10 @@ it.  The exact cover and max tiling carry one bitset of the live sets
 (those disjoint from every chosen one), so a vertex's live count is an AND
 and a popcount, and choosing a set clears the columns of its vertices.
 In the exact cover the live sets are exactly those inside the uncovered
-vertices, so the uncovered mask is the whole state of a node, and a state
-that failed once is not searched again.
+vertices, so the uncovered mask is the whole state of a node: a state that
+failed once is not searched again, and a choice that leaves t = |V(F)|
+vertices is decided by looking their mask up in the table (the sets are
+distinct t-sets), not by a node of its own.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections.abc import Mapping
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -86,7 +90,7 @@ class CopySetEnumeration(NamedTuple):
     """All pattern-spanned vertex sets, with one witness embedding each."""
 
     sets: tuple[VertexSet, ...]
-    witnesses: dict[VertexSet, Embedding]
+    witnesses: Mapping[VertexSet, Embedding]
 
 
 # -- pattern analysis -------------------------------------------------------
@@ -375,14 +379,48 @@ def _spans(host: Hypergraph, parts: tuple[VertexSet, ...],
     return None
 
 
+class _Witnesses(Mapping):
+    """Read-only map of each copy set, in lexicographic order, to its
+    witness: the first embedding that reached it, or for a complete partite
+    pattern the partition scan's (`_spans`).  A witness is found the first
+    time it is read and kept."""
+
+    def __init__(self, host: Hypergraph, parts: tuple[VertexSet, ...] | None,
+                 first: dict[VertexSet, tuple[int, ...]]):
+        self._host, self._parts, self._first = host, parts, first
+        self._found: dict[VertexSet, Embedding] = {}
+
+    def __getitem__(self, s: VertexSet) -> Embedding:
+        witness = self._found.get(s)
+        if witness is None:
+            images = self._first[s]
+            witness = (Embedding(images) if self._parts is None
+                       else _spans(self._host, self._parts, s))
+            self._found[s] = witness
+        return witness
+
+    def __contains__(self, s: object) -> bool:
+        return s in self._first
+
+    def __iter__(self) -> Iterator[VertexSet]:
+        return iter(self._first)
+
+    def __len__(self) -> int:
+        return len(self._first)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 def enumerate_copy_sets(host: Hypergraph, pattern: Hypergraph,
                         budget: int | None = None) -> CopySetEnumeration:
     """All vertex sets spanned by a pattern copy, in lexicographic order.
 
     The sets are grown by the embedder (`_copy_masks`).  A set's witness is
     the first embedding that reached it, or for a complete partite pattern
-    the partition scan's (`_spans`).  The number of t-subsets, C(n, t), is
-    charged to the budget.
+    the partition scan's (`_spans`); it is found when it is first read, so a
+    search that prints no copy runs no partition scan.  The number of
+    t-subsets, C(n, t), is charged to the budget.
     """
     _check_pair(host, pattern)
     if pattern.n == 0:
@@ -390,35 +428,34 @@ def enumerate_copy_sets(host: Hypergraph, pattern: Hypergraph,
     if pattern.n > host.n:
         return CopySetEnumeration((), {})
     charge(math.comb(host.n, pattern.n), budget, "copy-set enumeration")
-    found = sorted((tuple(sorted(images)), images)
-                   for images in _copy_masks(host, pattern).values())
-    sets = tuple(s for s, _ in found)
-    parts = _plan(pattern).parts
-    if parts is None:
-        witnesses = {s: Embedding(images) for s, images in found}
-    else:
-        witnesses = {s: _spans(host, parts, s) for s in sets}
-    return CopySetEnumeration(sets, witnesses)
+    first = dict(sorted((tuple(sorted(images)), images)
+                        for images in _copy_masks(host, pattern).values()))
+    return CopySetEnumeration(tuple(first), _Witnesses(host, _plan(pattern).parts, first))
 
 
 # -- exact cover -------------------------------------------------------------
 
 
 def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
-                       cols: Sequence[int], target: int) -> list[int] | None:
-    """First exact cover of the vertex mask `target` under the fail-first
-    column rule: branch on the uncovered vertex v with the fewest live
-    candidates, counted as `(live & cols[v]).bit_count()`, ties to the
-    smallest id, failing at once on a vertex with none; try them in
-    ascending index (input) order.  The sets through any vertex outside
-    `target` are dead from the start, and choosing a set kills the sets
-    through its vertices, so at every node `live` is exactly the sets inside
-    `uncovered`: a node's outcome depends on `uncovered` alone.  An
-    uncovered mask whose options have all failed is remembered in `dead`
-    and fails at once when another family of sets reaches it again, which
-    prunes only failing subtrees and keeps the branch order."""
+                       cols: Sequence[int], index: dict[int, int],
+                       target: int) -> list[int] | None:
+    """First exact cover of the vertex mask `target` by the sets, distinct
+    t-sets, under the fail-first column rule: branch on the uncovered vertex
+    v with the fewest live candidates, counted as
+    `(live & cols[v]).bit_count()`, ties to the smallest id, failing at once
+    on a vertex with none; try them in ascending index (input) order.  The
+    sets through any vertex outside `target` are dead from the start, and
+    choosing a set kills the sets through its vertices, so at every node
+    `live` is exactly the sets inside `uncovered`: a node's outcome depends
+    on `uncovered` alone.  So an option that leaves t vertices is not
+    searched: the only t-set inside them is the set of them, and `index`
+    (mask to set index) says whether it is a candidate.  An uncovered mask
+    whose options have all failed is remembered in `dead` and fails at once
+    when another family of sets reaches it again, which prunes only failing
+    subtrees and keeps the branch order."""
     chosen: list[int] = []
     dead: set[int] = set()
+    t = len(sets[0]) if sets else 0
     live = (1 << len(sets)) - 1
     for v, col in enumerate(cols):
         if not target >> v & 1:
@@ -443,13 +480,19 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
         while options:
             low = options & -options
             ci = low.bit_length() - 1
-            touching = 0
-            for u in sets[ci]:
-                touching |= cols[u]
-            chosen.append(ci)
-            if cover(uncovered ^ masks[ci], live ^ (live & touching)):
-                return True
-            chosen.pop()
+            rest = uncovered ^ masks[ci]
+            if rest.bit_count() == t:
+                if rest in index:
+                    chosen.extend((ci, index[rest]))
+                    return True
+            else:
+                touching = 0
+                for u in sets[ci]:
+                    touching |= cols[u]
+                chosen.append(ci)
+                if cover(rest, live ^ (live & touching)):
+                    return True
+                chosen.pop()
             options ^= low
         dead.add(uncovered)
         return False
@@ -493,13 +536,17 @@ def _max_packing_first(sets: Sequence[VertexSet], masks: Sequence[int],
     return best
 
 
-def _candidate_tables(n: int, sets: Sequence[VertexSet]) -> tuple[list[int], list[int]]:
+def _candidate_tables(n: int, sets: Sequence[VertexSet]
+                      ) -> tuple[list[int], list[int], dict[int, int]]:
+    """Each set's vertex mask, each vertex's column (the bitset of the sets
+    through it) and the index of each mask: the sets are distinct."""
     masks = [sum(1 << v for v in s) for s in sets]
     cols = [bytearray((len(sets) + 7) // 8) for _ in range(n)]
     for ci, s in enumerate(sets):
         for v in s:
             cols[v][ci >> 3] |= 1 << (ci & 7)
-    return masks, [int.from_bytes(c, "little") for c in cols]
+    index = {m: ci for ci, m in enumerate(masks)}
+    return masks, [int.from_bytes(c, "little") for c in cols], index
 
 
 def _too_deep(host: Hypergraph, pattern: Hypergraph) -> ValidationError:
@@ -525,9 +572,9 @@ def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
     if host.n == 0:
         return TilingOutcome(TilingCertificate((), ()), REASON_FOUND)
     enum = enumerate_copy_sets(host, pattern, budget=budget)
-    masks, cols = _candidate_tables(host.n, enum.sets)
     try:
-        solution = _exact_cover_first(enum.sets, masks, cols, (1 << host.n) - 1)
+        solution = _exact_cover_first(enum.sets, *_candidate_tables(host.n, enum.sets),
+                                      (1 << host.n) - 1)
     except RecursionError:
         raise _too_deep(host, pattern) from None
     if solution is None:
@@ -546,7 +593,7 @@ def max_tiling(host: Hypergraph, pattern: Hypergraph,
     if pattern.n == 0:
         raise ValidationError("pattern has no vertices")
     enum = enumerate_copy_sets(host, pattern, budget=budget)
-    masks, cols = _candidate_tables(host.n, enum.sets)
+    masks, cols, _ = _candidate_tables(host.n, enum.sets)
     try:
         best = _max_packing_first(enum.sets, masks, cols, pattern.n)
     except RecursionError:

@@ -16,6 +16,11 @@ def codegree(n: int, edges, s_set) -> int:
     return sum(1 for e in edges if key <= set(e))
 
 
+def index_vector(parts, s_set) -> tuple[int, ...]:
+    """How many vertices of the set lie in each part, in part order."""
+    return tuple(len(set(part) & set(s_set)) for part in parts)
+
+
 def min_codegree(n: int, edges, s: int) -> int:
     subs = list(itertools.combinations(range(n), s))
     if not subs:

@@ -124,6 +124,19 @@ def test_index_vector():
     assert p.index_vector(()) == (0, 0, 0)
 
 
+@given(st.data())
+def test_index_vector_matches_a_recount(data):
+    n = data.draw(st.integers(1, 12))
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    parts = [[v for v in range(n) if labels[v] == i] for i in range(4)]
+    p = Partition(parts, n, allow_empty=True)
+    for _ in range(3):
+        s = data.draw(st.sets(st.integers(0, n - 1)))
+        assert p.index_vector(s) == oracles.index_vector(parts, s)
+    with pytest.raises(ValidationError):
+        p.index_vector([n])
+
+
 def test_vertex_set_sorts_and_rejects_repeats():
     assert vertex_set([3, 1, 2]) == (1, 2, 3)
     with pytest.raises(ValidationError):

@@ -315,6 +315,8 @@ COVER_EXAMPLES = (
     (4, 2, [(0, 1), (1, 2)]),                    # vertex 3 in no candidate
     # every vertex has two candidates, so the tie-break picks the cover
     (6, 3, [(0, 1, 2), (0, 3, 4), (1, 2, 5), (3, 4, 5)]),
+    # every vertex has a candidate, but the two left after (0, 1) are no set
+    (4, 2, [(0, 1), (0, 2), (0, 3)]),
 )
 
 
@@ -324,16 +326,15 @@ def _with_examples(test):
     return test
 
 
-def _cover_calls(run):
-    """run()'s result and the number of calls of the cover's inner search
-    (`cover` in solver.py) that it made."""
-    calls = 0
+def _calls(run, name):
+    """run()'s result and the first argument of each call of the function
+    `name` in solver.py that it made, in call order."""
+    firsts = []
 
     def profile(frame, event, arg):
-        nonlocal calls
         code = frame.f_code
-        if event == "call" and code.co_name == "cover" and code.co_filename == solver.__file__:
-            calls += 1
+        if event == "call" and code.co_name == name and code.co_filename == solver.__file__:
+            firsts.append(frame.f_locals[code.co_varnames[0]])
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -341,7 +342,14 @@ def _cover_calls(run):
         result = run()
     finally:
         sys.setprofile(previous)
-    return result, calls
+    return result, firsts
+
+
+def _cover_calls(run):
+    """run()'s result and the number of calls of the cover's inner search
+    (`cover` in solver.py) that it made."""
+    result, states = _calls(run, "cover")
+    return result, len(states)
 
 
 @settings(max_examples=300)
@@ -357,13 +365,16 @@ def test_exact_cover_meets_a_failed_state_again_before_its_cover():
     sets = [(0, 2), (0, 5), (0, 7), (1, 2), (1, 4), (1, 6), (2, 3), (2, 8), (2, 9),
             (3, 5), (4, 8), (4, 9), (6, 7)]
     # The cover branches on vertex 3.  (2, 3) then (0, 5) leaves
-    # {1, 4, 6, 7, 8, 9}, which fails two calls deeper; (3, 5) then (0, 2)
+    # {1, 4, 6, 7, 8, 9}, which fails one call deeper; (3, 5) then (0, 2)
     # leaves the same vertices and fails at once, and (3, 5) then (0, 7)
-    # leads to the cover.  Searching the failed state again takes 13 calls.
-    got, calls = _cover_calls(
-        lambda: _exact_cover_first(sets, *_candidate_tables(10, sets), (1 << 10) - 1))
+    # leads to the cover.  An option that leaves two vertices is decided by
+    # a lookup, not a call.  Searching the failed state again takes 9 calls.
+    got, states = _calls(
+        lambda: _exact_cover_first(sets, *_candidate_tables(10, sets), (1 << 10) - 1),
+        "cover")
     assert got == oracles.first_cover(10, sets) == [9, 2, 5, 7, 11]
-    assert calls == 11
+    assert states.count(0b1111010010) == 2
+    assert len(states) == 8
 
 
 def test_exact_cover_searches_each_failed_state_once():
@@ -373,6 +384,44 @@ def test_exact_cover_searches_each_failed_state_once():
     out, calls = _cover_calls(lambda: has_perfect_tiling(barrier_graph(8, 7).graph, K111))
     assert out.reason == "exhausted"
     assert calls <= 8000
+
+
+def test_exact_cover_decides_the_last_copy_by_lookup():
+    # barrier(9, 9) has no K(2,2,2)-factor.  Searched as a node, each option
+    # that leaves 6 vertices took a call: 46,761 in all; looked up, 1,065.
+    out, calls = _cover_calls(lambda: has_perfect_tiling(barrier_graph(9, 9).graph, K222))
+    assert out.reason == "exhausted"
+    assert calls <= 1100
+
+
+@pytest.mark.parametrize("host, found, spans", [
+    (barrier_graph(9, 9).graph, False, 0),
+    (complete_k_partite((6, 6, 6)).graph, True, 3),
+], ids=["barrier99-none", "k666-found"])
+def test_witnesses_are_found_when_read(host, found, spans):
+    # the partition scan runs once per printed copy, and not at all for none
+    out, calls = _calls(lambda: has_perfect_tiling(host, K222), "_spans")
+    assert out.found == found
+    assert len(calls) == spans
+    if found:
+        enum = enumerate_copy_sets(host, K222)
+        assert out.certificate.embeddings == tuple(
+            enum.witnesses[e.vertex_set] for e in out.certificate.embeddings)
+
+
+def test_witnesses_read_like_a_dict():
+    enum = enumerate_copy_sets(B75, K222)
+    eager = {vs: enum.witnesses[vs] for vs in enum.sets}
+    assert enum.witnesses == eager and eager == enum.witnesses
+    assert list(enum.witnesses) == list(enum.sets)
+    assert len(enum.witnesses) == len(enum.sets) == 112
+    assert (0, 7, 8, 9, 10, 11) not in enum.witnesses
+    assert enum.sets[0] in enum.witnesses
+    assert repr(enum.witnesses) == repr(eager)
+    with pytest.raises(KeyError):
+        enum.witnesses[(0, 7, 8, 9, 10, 11)]
+    with pytest.raises(TypeError):
+        enum.witnesses[enum.sets[0]] = None
 
 
 @st.composite
@@ -409,7 +458,8 @@ def test_targeted_cover_is_the_oracle_cover_of_the_subsystem(system):
 @given(set_systems())
 def test_max_packing_matches_the_oracle_rule(system):
     n, t, sets = system
-    got = _max_packing_first(sets, *_candidate_tables(n, sets), t)
+    masks, cols, _ = _candidate_tables(n, sets)
+    got = _max_packing_first(sets, masks, cols, t)
     assert got == oracles.first_max_packing(n, sets, t)
 
 

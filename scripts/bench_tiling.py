@@ -167,6 +167,9 @@ ROWS = {
                        lambda: _tiling(barrier_graph(8, 7).graph, K111)),
     "barrier99-k111": ("tiling", "has_perfect_tiling(barrier_graph(9, 9), complete_k_partite((1, 1, 1)))",
                        lambda: _tiling(barrier_graph(9, 9).graph, K111)),
+    # n = 24: the failed profiles over two twin classes end the search.
+    "barrier1311-k222": ("tiling", "has_perfect_tiling(barrier_graph(13, 11), complete_k_partite((2, 2, 2)))",
+                         lambda: _tiling(barrier_graph(13, 11).graph, K222)),
     "barrier99-kst322": ("tiling", "has_perfect_tiling(barrier_graph(9, 9), k_st(3, 2, 2))",
                          lambda: _tiling(barrier_graph(9, 9).graph, k_st(3, 2, 2).graph)),
     "sweep-12-18-m2": ("tiling", "hypertile sweep --n-min 12 --n-max 18 -m 2", _sweep),
@@ -177,6 +180,9 @@ ROWS = {
                           lambda: _tiling(_complete_host(18), k_st(3, 2, 2).graph)),
     "k666-k222": ("tiling", "has_perfect_tiling(complete_k_partite((6, 6, 6)), complete_k_partite((2, 2, 2)))",
                   lambda: _tiling(complete_k_partite((6, 6, 6)).graph, K222)),
+    # No twins (every class one vertex): the twin search is pure overhead.
+    "planted20-tile": ("tiling", "has_perfect_tiling(planted n=20 p=0.3 seed 0, complete_k_partite((1, 1, 2)))",
+                       lambda: _tiling(_planted_host(0, 20, 0.3), K112)),
     "planted20-max": ("tiling", "max_tiling(planted n=20 p=0.3 seed 0, complete_k_partite((1, 1, 2)))",
                       lambda: _max(_planted_host(0, 20, 0.3), K112)),
     "connectors14-k112-i2": (

@@ -31,10 +31,16 @@ it.  The exact cover and max tiling carry one bitset of the live sets
 (those disjoint from every chosen one), so a vertex's live count is an AND
 and a popcount, and choosing a set clears the columns of its vertices.
 In the exact cover the live sets are exactly those inside the uncovered
-vertices, so the uncovered mask is the whole state of a node: a state that
-failed once is not searched again, and a choice that leaves t = |V(F)|
-vertices is decided by looking their mask up in the table (the sets are
-distinct t-sets), not by a node of its own.
+vertices, so the uncovered mask is the whole state of a node, and a choice
+that leaves t = |V(F)| vertices is decided by looking their mask up in the
+table (the sets are distinct t-sets), not by a node of its own.  Host
+vertices u and v are twins when swapping them is an automorphism of the
+host; twins fall into classes, and any permutation inside the classes is an
+automorphism, which maps copy sets to copy sets.  So a node's outcome
+depends only on its profile, the number of uncovered vertices in each class:
+a failed profile is remembered, and a choice whose remaining vertices have
+a failed profile is skipped before its node is built.  Only failing
+subtrees are cut, so the branch order and the first cover are unchanged.
 """
 
 from __future__ import annotations
@@ -215,6 +221,48 @@ def _links(host: Hypergraph) -> dict[int, int]:
             key = full ^ (1 << v)
             links[key] = links.get(key, 0) | (1 << v)
     return links
+
+
+def _twin_classes(host: Hypergraph) -> list[int]:
+    """Vertex masks of the host's twin classes, by smallest vertex: u and v
+    are twins when swapping them maps the edge set onto itself.  Each vertex
+    u is tested, by the edge-swap test on the rests (the masks e - u of the
+    edges e through u), against one member of each earlier class that can
+    hold a twin: for any rest r of u, a twin v lies in r or completes r to
+    an edge, so the candidates are r and its link."""
+    rests: list[set[int]] = [set() for _ in range(host.n)]
+    for e in host.edges:
+        full = 0
+        for v in e:
+            full |= 1 << v
+        for v in e:
+            rests[v].add(full ^ (1 << v))
+    link = _links(host)
+    bare = 0                                    # the vertices in no edge
+    class_of: list[int] = []
+    classes: list[int] = []
+    for u, mine in enumerate(rests):
+        if mine:
+            r = next(iter(mine))
+            candidates = (r | link[r]) & ((1 << u) - 1)
+        else:
+            candidates = bare
+            bare |= 1 << u
+        while candidates:
+            v = (candidates & -candidates).bit_length() - 1
+            theirs, swap = rests[v], 1 << u | 1 << v
+            # The swap maps the edges through u onto those through v (the
+            # edges through v then follow, as the swap is an involution).
+            if len(mine) == len(theirs) and all(
+                    (r ^ swap if r >> v & 1 else r) in theirs for r in mine):
+                class_of.append(class_of[v])
+                classes[class_of[v]] |= 1 << u
+                break
+            candidates &= ~classes[class_of[v]]
+        else:
+            class_of.append(len(classes))
+            classes.append(1 << u)
+    return classes
 
 
 def _check_pair(host: Hypergraph, pattern: Hypergraph) -> None:
@@ -436,9 +484,28 @@ def enumerate_copy_sets(host: Hypergraph, pattern: Hypergraph,
 # -- exact cover -------------------------------------------------------------
 
 
+def _profile_units(n: int, classes: Sequence[int]) -> list[int] | None:
+    """Per vertex, its unit in the profile key of a vertex mask, the sum of
+    its vertices' units: a vertex in a single-vertex class is its own bit,
+    and a larger class counts its vertices in a field above bit n.  None
+    when every class is a single vertex, where the key is the mask."""
+    big = [c for c in classes if c & (c - 1)]
+    if not big:
+        return None
+    units = [1 << v for v in range(n)]
+    shift = n
+    for c in big:
+        scan = c
+        while scan:
+            units[(scan & -scan).bit_length() - 1] = 1 << shift
+            scan &= scan - 1
+        shift += c.bit_count().bit_length()
+    return units
+
+
 def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
                        cols: Sequence[int], index: dict[int, int],
-                       target: int) -> list[int] | None:
+                       target: int, classes: Sequence[int] = ()) -> list[int] | None:
     """First exact cover of the vertex mask `target` by the sets, distinct
     t-sets, under the fail-first column rule: branch on the uncovered vertex
     v with the fewest live candidates, counted as
@@ -449,23 +516,38 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
     `live` is exactly the sets inside `uncovered`: a node's outcome depends
     on `uncovered` alone.  So an option that leaves t vertices is not
     searched: the only t-set inside them is the set of them, and `index`
-    (mask to set index) says whether it is a candidate.  An uncovered mask
-    whose options have all failed is remembered in `dead` and fails at once
-    when another family of sets reaches it again, which prunes only failing
+    (mask to set index) says whether it is a candidate.
+
+    `classes` are vertex masks of twin classes of the host whose copy sets
+    the sets are (`_twin_classes`): a permutation inside them maps the sets
+    onto themselves, so the outcome depends only on the profile of
+    `uncovered`, its count in each class.  Each node carries `state`, its
+    key: the packed profile (`_profile_units`) when some class has two
+    vertices or more, else (no classes given, or all single) the mask
+    itself.  A set's key, the sum of its vertices' units, is subtracted to
+    reach the child's.  A node whose
+    options have all failed puts its key in `dead`, and an option that
+    leaves more than t vertices is skipped, before its child's `live` is
+    built, when the child's key is in `dead`.  This prunes only failing
     subtrees and keeps the branch order."""
     chosen: list[int] = []
     dead: set[int] = set()
+    units = _profile_units(len(cols), classes) if classes else None
+    if units is None:
+        key, state = masks.__getitem__, target
+    else:
+        def key(ci: int) -> int:
+            return sum(map(units.__getitem__, sets[ci]))
+        state = sum(u for v, u in enumerate(units) if target >> v & 1)
     t = len(sets[0]) if sets else 0
     live = (1 << len(sets)) - 1
     for v, col in enumerate(cols):
         if not target >> v & 1:
             live ^= live & col
 
-    def cover(uncovered: int, live: int) -> bool:
+    def cover(uncovered: int, state: int, live: int) -> bool:
         if uncovered == 0:
             return True
-        if uncovered in dead:
-            return False
         best, best_count = -1, len(sets) + 1
         scan = uncovered
         while scan:
@@ -485,19 +567,19 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
                 if rest in index:
                     chosen.extend((ci, index[rest]))
                     return True
-            else:
+            elif (after := state - key(ci)) not in dead:
                 touching = 0
                 for u in sets[ci]:
                     touching |= cols[u]
                 chosen.append(ci)
-                if cover(rest, live ^ (live & touching)):
+                if cover(rest, after, live ^ (live & touching)):
                     return True
                 chosen.pop()
             options ^= low
-        dead.add(uncovered)
+        dead.add(state)
         return False
 
-    if cover(target, live):
+    if cover(target, state, live):
         return chosen
     return None
 
@@ -574,7 +656,7 @@ def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
     enum = enumerate_copy_sets(host, pattern, budget=budget)
     try:
         solution = _exact_cover_first(enum.sets, *_candidate_tables(host.n, enum.sets),
-                                      (1 << host.n) - 1)
+                                      (1 << host.n) - 1, _twin_classes(host))
     except RecursionError:
         raise _too_deep(host, pattern) from None
     if solution is None:

@@ -209,6 +209,20 @@ def first_copy(n: int, host_edges, pat_edges, order):
     return None
 
 
+def twin_classes(n: int, edges) -> list[int]:
+    """Vertex masks of the twin classes, by smallest vertex: the class of u
+    is u and every v such that swapping u and v in every edge gives back
+    the same edge set."""
+    eset = {frozenset(e) for e in edges}
+
+    def twins(u: int, v: int) -> bool:
+        swap = {u: v, v: u}
+        return {frozenset(swap.get(w, w) for w in e) for e in eset} == eset
+
+    classes = {sum(1 << v for v in range(n) if v == u or twins(u, v)) for u in range(n)}
+    return sorted(classes, key=lambda c: c & -c)
+
+
 def first_cover(n: int, sets):
     """The first exact cover of range(n) by the given sets, as indices.
 

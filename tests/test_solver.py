@@ -24,6 +24,7 @@ from hypertile import solver
 from hypertile.solver import (_candidate_tables, _exact_cover_first,
                               _max_packing_first, copies_of_type)
 from hypertile.errors import BudgetExceededError, ValidationError
+from hypertile.experiments import naive_perfect_tiling
 
 EDGE = build(3, 3, [(0, 1, 2)])
 K222 = complete_k_partite((2, 2, 2)).graph
@@ -366,32 +367,62 @@ def test_exact_cover_meets_a_failed_state_again_before_its_cover():
             (3, 5), (4, 8), (4, 9), (6, 7)]
     # The cover branches on vertex 3.  (2, 3) then (0, 5) leaves
     # {1, 4, 6, 7, 8, 9}, which fails one call deeper; (3, 5) then (0, 2)
-    # leaves the same vertices and fails at once, and (3, 5) then (0, 7)
-    # leads to the cover.  An option that leaves two vertices is decided by
-    # a lookup, not a call.  Searching the failed state again takes 9 calls.
+    # leaves the same vertices and is skipped without a call, and (3, 5)
+    # then (0, 7) leads to the cover.  An option that leaves two vertices
+    # is decided by a lookup, not a call.  Entering the failed state again
+    # takes 8 calls, searching it again 9.
     got, states = _calls(
         lambda: _exact_cover_first(sets, *_candidate_tables(10, sets), (1 << 10) - 1),
         "cover")
     assert got == oracles.first_cover(10, sets) == [9, 2, 5, 7, 11]
-    assert states.count(0b1111010010) == 2
-    assert len(states) == 8
+    assert states.count(0b1111010010) == 1
+    assert len(states) == 7
+
+
+def _barrier_cover(a, b, pattern, twins):
+    """The cover of barrier_graph(a, b)'s copy sets of the pattern, keyed by
+    twin-class profile or by raw mask, and its number of calls."""
+    host = barrier_graph(a, b).graph
+    sets = enumerate_copy_sets(host, pattern).sets
+    classes = solver._twin_classes(host) if twins else ()
+    return _cover_calls(lambda: _exact_cover_first(
+        sets, *_candidate_tables(host.n, sets), (1 << host.n) - 1, classes))
 
 
 def test_exact_cover_searches_each_failed_state_once():
-    # barrier(8, 7) has no K(1,1,1)-factor.  Its cover stores 869 failed
-    # uncovered sets; searching one again on each new way of reaching it
-    # took 60,355 calls, searching each once takes 7,674.
+    # barrier(8, 7) has no K(1,1,1)-factor.  Keyed by the profile over its
+    # two twin classes the cover takes 20 calls; keyed by raw mask, 1,289.
     out, calls = _cover_calls(lambda: has_perfect_tiling(barrier_graph(8, 7).graph, K111))
     assert out.reason == "exhausted"
-    assert calls <= 8000
+    assert calls <= 25
 
 
 def test_exact_cover_decides_the_last_copy_by_lookup():
-    # barrier(9, 9) has no K(2,2,2)-factor.  Searched as a node, each option
-    # that leaves 6 vertices took a call: 46,761 in all; looked up, 1,065.
+    # barrier(9, 9) has no K(2,2,2)-factor.  With the options that leave 6
+    # vertices looked up, not searched, the cover takes 1,065 calls keyed by
+    # raw mask and 3 keyed by twin-class profile.
     out, calls = _cover_calls(lambda: has_perfect_tiling(barrier_graph(9, 9).graph, K222))
     assert out.reason == "exhausted"
-    assert calls <= 1100
+    assert calls <= 5
+
+
+@pytest.mark.parametrize("a, b, pattern, bound", [
+    (8, 7, K111, 1300),      # 1,289 measured
+    (9, 9, K222, 1100),      # 1,065 measured
+], ids=["barrier87-k111", "barrier99-k222"])
+def test_exact_cover_by_raw_mask_skips_failed_states(a, b, pattern, bound):
+    # with no classes the cover keys failed states by their raw mask
+    got, calls = _barrier_cover(a, b, pattern, twins=False)
+    assert got is None
+    assert calls <= bound
+
+
+def test_exact_cover_by_twin_profile_ends_the_n24_barrier():
+    # barrier(13, 11) with K(2,2,2): 360 calls keyed by the profile over its
+    # two twin classes, 1,547,965 keyed by raw mask
+    got, calls = _barrier_cover(13, 11, K222, twins=True)
+    assert got is None
+    assert calls <= 400
 
 
 @pytest.mark.parametrize("host, found, spans", [
@@ -422,6 +453,74 @@ def test_witnesses_read_like_a_dict():
         enum.witnesses[(0, 7, 8, 9, 10, 11)]
     with pytest.raises(TypeError):
         enum.witnesses[enum.sets[0]] = None
+
+
+def _blow_up(k, base, types):
+    """k-graph on range(len(base)) whose edges are the k-sets whose
+    multiset of base classes (base[v] per vertex v) is one of the types."""
+    return build(k, len(base), [e for e in itertools.combinations(range(len(base)), k)
+                                if tuple(sorted(base[v] for v in e)) in types])
+
+
+@st.composite
+def blow_ups(draw, ks=(2, 3, 4), max_n=9):
+    """A k-graph blown up from a random base: each vertex draws one of m
+    base classes, and each multiset of k classes is an edge type or not.
+    Every permutation inside a base class is an automorphism, so the twin
+    classes are unions of them."""
+    k = draw(st.sampled_from(ks))
+    n = draw(st.integers(k, max_n))
+    m = draw(st.integers(1, 4))
+    base = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    types = {t for t in itertools.combinations_with_replacement(range(m), k)
+             if draw(st.booleans())}
+    return _blow_up(k, base, types)
+
+
+@settings(max_examples=200)
+@example(barrier_graph(4, 3).graph)
+@example(build(3, 4, []))                     # one class of bare vertices
+@given(blow_ups() | hypergraphs(k=2, max_n=7) | hypergraphs(max_n=7))
+def test_twin_classes_match_the_oracle(g):
+    assert solver._twin_classes(g) == oracles.twin_classes(g.n, g.edges)
+
+
+@st.composite
+def blow_up_covers(draw):
+    """(g, pattern, target): a 3-graph blow-up, a pattern and a vertex mask,
+    half the time all of V(g)."""
+    g = draw(blow_ups(ks=(3,), max_n=12))
+    pattern = draw(st.sampled_from((EDGE, K112)))
+    everything = (1 << g.n) - 1
+    return g, pattern, draw(st.just(everything) | st.integers(0, everything))
+
+
+@settings(max_examples=150)
+# three classes: the cover fails states before it finds the first cover,
+# so a key that misses a class's count skips a state on the cover's path
+@example((_blow_up(3, [2, 0, 1, 2, 1, 0, 1, 2, 2, 1, 0, 1],
+                   {(0, 0, 0), (0, 0, 2), (0, 2, 2), (1, 1, 2), (1, 2, 2)}), EDGE, 4095))
+@given(blow_up_covers())
+def test_twin_keyed_cover_is_the_raw_mask_cover(case):
+    # keying failed states by twin-class profile prunes only failing subtrees
+    g, pattern, target = case
+    sets = enumerate_copy_sets(g, pattern).sets
+    tables = _candidate_tables(g.n, sets)
+    raw, raw_calls = _cover_calls(lambda: _exact_cover_first(sets, *tables, target))
+    twin, twin_calls = _cover_calls(
+        lambda: _exact_cover_first(sets, *tables, target, solver._twin_classes(g)))
+    assert twin == raw
+    assert twin_calls <= raw_calls
+
+
+@settings(max_examples=60)
+@given(blow_ups(ks=(3,), max_n=9))
+def test_tiling_of_blow_ups_matches_the_naive_search(g):
+    for pattern in (EDGE, K112):
+        out = has_perfect_tiling(g, pattern)
+        assert out.found == naive_perfect_tiling(g, pattern)
+        if out.found:
+            assert verify_certificate(g, pattern, out.certificate, require_perfect=True)
 
 
 @st.composite

@@ -18,12 +18,8 @@ size, leaf groups) take increasing images.  Candidates are tried in
 increasing order, so embeddings come in lexicographic order, read in the
 placement order.  `contains_copy` returns the first one.  Copy-set
 enumeration runs the embedder to every solution and keeps each vertex set
-with the first embedding that reaches it as its witness; only for complete
-partite patterns is the witness instead the partition scan's: the set's
-vertices, in increasing order, each join the first part (parts sorted by
-size) that still has room, and the first assignment whose transversals are
-all host edges wins.  A witness is found when it is first read, so a search
-that returns no copy builds none.
+with the first embedding that reaches it as its witness, built when it is
+read, so a search that returns no copy builds none.
 
 Tilings are searched over one table of the host's copy sets: each set's
 vertex bitmask and, per vertex, a column: the bitset of the sets through
@@ -45,12 +41,10 @@ subtrees are cut, so the branch order and the first cover are unchanged.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from collections.abc import Mapping
 from functools import lru_cache
-from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .budget import charge
@@ -103,7 +97,6 @@ class CopySetEnumeration(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    parts: tuple[VertexSet, ...] | None   # complete partite: parts sorted by size
     order: tuple[int, ...]                # placement order of the pattern vertices
     checks: tuple[tuple[VertexSet, ...], ...]  # per position: the (k-1)-sets it closes
     twin: tuple[int, ...]                 # per position: the earlier position whose image it
@@ -205,7 +198,7 @@ def _plan(pattern: Hypergraph) -> _Plan:
     for prev, block in zip(blocks, blocks[1:]):
         if len(prev) == len(block):
             twin[position[block[0]]] = position[prev[0]]
-    return _Plan(parts, order, tuple(map(tuple, checks)), tuple(twin))
+    return _Plan(order, tuple(map(tuple, checks)), tuple(twin))
 
 
 @lru_cache(maxsize=8)
@@ -365,87 +358,16 @@ def _copy_masks(host: Hypergraph, pattern: Hypergraph) -> dict[int, tuple[int, .
     return reached
 
 
-def _partitions_with_sizes(elems: VertexSet,
-                           sizes: tuple[int, ...]) -> Iterator[tuple[VertexSet, ...]]:
-    """Partitions of elems into parts of the given sizes, each exactly once.
-
-    Parts of equal size are deduplicated by forcing their minima to appear
-    in part order.
-    """
-    parts: list[list[int]] = [[] for _ in sizes]
-
-    def extend(i: int) -> Iterator[tuple[VertexSet, ...]]:
-        if i == len(elems):
-            yield tuple(tuple(p) for p in parts)
-            return
-        v = elems[i]
-        opened: set[int] = set()
-        for j, p in enumerate(parts):
-            if len(p) >= sizes[j]:
-                continue
-            if not p:
-                if sizes[j] in opened:
-                    continue
-                opened.add(sizes[j])
-            p.append(v)
-            yield from extend(i + 1)
-            p.pop()
-
-    yield from extend(0)
-
-
-@lru_cache(maxsize=64)
-def _scan_order(parts: tuple[VertexSet, ...]
-                ) -> tuple[tuple[tuple[itemgetter, ...], tuple[int, ...]], ...]:
-    """The partition scan of a complete partite pattern over the positions
-    0..t-1 of a sorted vertex set: per assignment, in scan order, a getter
-    of each transversal (as a sorted tuple) and the position each pattern
-    vertex takes."""
-    t = sum(map(len, parts))
-    scan = []
-    for assignment in _partitions_with_sizes(tuple(range(t)), tuple(map(len, parts))):
-        getters = tuple(itemgetter(*sorted(tr)) for tr in itertools.product(*assignment))
-        positions = [-1] * t
-        for fpart, hpart in zip(parts, assignment):
-            for fv, i in zip(fpart, hpart):
-                positions[fv] = i
-        scan.append((getters, tuple(positions)))
-    return tuple(scan)
-
-
-def _spans(host: Hypergraph, parts: tuple[VertexSet, ...],
-           subset: VertexSet) -> Embedding | None:
-    """Witness of a complete partite pattern with these parts on a vertex
-    set, by the partition scan: the set's vertices, in increasing order,
-    each join the first part (parts sorted by size) that still has room,
-    and the witness is the first assignment whose transversals are all host
-    edges."""
-    edge_set = host.edge_set()
-    for getters, positions in _scan_order(parts):
-        if all(get(subset) in edge_set for get in getters):
-            return Embedding(tuple(subset[i] for i in positions))
-    return None
-
-
 class _Witnesses(Mapping):
     """Read-only map of each copy set, in lexicographic order, to its
-    witness: the first embedding that reached it, or for a complete partite
-    pattern the partition scan's (`_spans`).  A witness is found the first
-    time it is read and kept."""
+    witness: the first embedding that reached it, built each time it is
+    read."""
 
-    def __init__(self, host: Hypergraph, parts: tuple[VertexSet, ...] | None,
-                 first: dict[VertexSet, tuple[int, ...]]):
-        self._host, self._parts, self._first = host, parts, first
-        self._found: dict[VertexSet, Embedding] = {}
+    def __init__(self, first: dict[VertexSet, tuple[int, ...]]):
+        self._first = first
 
     def __getitem__(self, s: VertexSet) -> Embedding:
-        witness = self._found.get(s)
-        if witness is None:
-            images = self._first[s]
-            witness = (Embedding(images) if self._parts is None
-                       else _spans(self._host, self._parts, s))
-            self._found[s] = witness
-        return witness
+        return Embedding(self._first[s])
 
     def __contains__(self, s: object) -> bool:
         return s in self._first
@@ -465,10 +387,9 @@ def enumerate_copy_sets(host: Hypergraph, pattern: Hypergraph,
     """All vertex sets spanned by a pattern copy, in lexicographic order.
 
     The sets are grown by the embedder (`_copy_masks`).  A set's witness is
-    the first embedding that reached it, or for a complete partite pattern
-    the partition scan's (`_spans`); it is found when it is first read, so a
-    search that prints no copy runs no partition scan.  The number of
-    t-subsets, C(n, t), is charged to the budget.
+    the first embedding that reached it, built when it is read, so a search
+    that prints no copy builds no witness.  The number of t-subsets,
+    C(n, t), is charged to the budget.
     """
     _check_pair(host, pattern)
     if pattern.n == 0:
@@ -478,7 +399,7 @@ def enumerate_copy_sets(host: Hypergraph, pattern: Hypergraph,
     charge(math.comb(host.n, pattern.n), budget, "copy-set enumeration")
     first = dict(sorted((tuple(sorted(images)), images)
                         for images in _copy_masks(host, pattern).values()))
-    return CopySetEnumeration(tuple(first), _Witnesses(host, _plan(pattern).parts, first))
+    return CopySetEnumeration(tuple(first), _Witnesses(first))
 
 
 # -- exact cover -------------------------------------------------------------

@@ -160,28 +160,24 @@ def connector_count(n: int, host_edges, pat_n: int, pat_edges,
                if tiles(s + (x,)) and tiles(s + (y,)))
 
 
-def first_witness(host_edges, pat_edges, vertex_set, order, partite: bool):
+def first_witness(host_edges, pat_edges, vertex_set, order):
     """The witness rule for copy sets, by brute force over bijections.
 
     Returns images[v] for each pattern vertex v in 0..len(vertex_set)-1, or
     None when no bijection onto vertex_set keeps every pattern edge a host
-    edge.  With partite=True, `order` lists the pattern vertices part after
-    part, and the witness is the first bijection in which the set's
-    vertices, in increasing order, each take the earliest pattern vertex of
-    `order` they can.  Otherwise the witness is the lexicographically first
-    tuple of images, read in the vertex order `order`.
+    edge.  The witness is the lexicographically first tuple of images, read
+    in the vertex order `order`.
     """
     eset = {frozenset(e) for e in host_edges}
     vs = sorted(vertex_set)
-    for perm in itertools.permutations(order if partite else vs):
-        images = dict(zip(perm, vs)) if partite else dict(zip(order, perm))
+    for perm in itertools.permutations(vs):
+        images = dict(zip(order, perm))
         if all(frozenset(images[v] for v in e) in eset for e in pat_edges):
             return tuple(images[v] for v in range(len(vs)))
     return None
 
 
-def copy_sets_by_scan(n: int, host_edges, pat_n: int, pat_edges, order,
-                      partite: bool):
+def copy_sets_by_scan(n: int, host_edges, pat_n: int, pat_edges, order):
     """Copy-set enumeration by scanning every pat_n-subset of range(n) in
     lexicographic order, with first_witness as the witness rule.
 
@@ -190,7 +186,7 @@ def copy_sets_by_scan(n: int, host_edges, pat_n: int, pat_edges, order,
     """
     sets, witnesses = [], {}
     for subset in itertools.combinations(range(n), pat_n):
-        witness = first_witness(host_edges, pat_edges, subset, order, partite)
+        witness = first_witness(host_edges, pat_edges, subset, order)
         if witness is not None:
             sets.append(subset)
             witnesses[subset] = witness

@@ -137,6 +137,20 @@ def test_tile_max(capsys, b75_path, k222_path):
     assert len(doc["copies"]) == 1 and len(doc["covered"]) == 6
 
 
+def test_tile_max_prints_first_embedding_witnesses(capsys, tmp_path, k222_path):
+    # each copy is the first embedding the embedder reached, read in
+    # pattern-vertex order; K(2,2,2) places one vertex per part in turn
+    from hypertile import barrier_graph
+    host = tmp_path / "b108.hg"
+    save_hg(barrier_graph(10, 8).graph, str(host))
+    code, out, _ = run(capsys, ["tile", str(host), "--pattern", k222_path, "--max"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["copies"] == [[0, 3, 1, 4, 2, 5], [6, 7, 10, 12, 11, 13],
+                             [8, 9, 14, 16, 15, 17]]
+    assert doc["covered"] == list(range(18))
+
+
 def test_tile_typed_copies(capsys, tmp_path, b75_path, k222_path):
     parts = tmp_path / "parts.json"
     parts.write_text(json.dumps([list(range(0, 7)), list(range(7, 12))]))

@@ -30,9 +30,9 @@ RECORDS = [
     (CopySetEnumeration(((0, 1, 2),), {(0, 1, 2): EMB}),
      ("sets", "witnesses"),
      "CopySetEnumeration(sets=((0, 1, 2),), witnesses={(0, 1, 2): Embedding(images=(0, 1, 2))})"),
-    (_Plan(None, (0, 1, 2), ((), (), ((0, 1),)), (-1, 0, 1)),
-     ("parts", "order", "checks", "twin"),
-     "_Plan(parts=None, order=(0, 1, 2), checks=((), (), ((0, 1),)), twin=(-1, 0, 1))"),
+    (_Plan((0, 1, 2), ((), (), ((0, 1),)), (-1, 0, 1)),
+     ("order", "checks", "twin"),
+     "_Plan(order=(0, 1, 2), checks=((), (), ((0, 1),)), twin=(-1, 0, 1))"),
     (RobustVectorReport({(1, 2): 3}, ((1, 2),), Fraction(1, 2), 2),
      ("counts", "robust", "mu", "parts"),
      "RobustVectorReport(counts={(1, 2): 3}, robust=((1, 2),), mu=Fraction(1, 2), parts=2)"),

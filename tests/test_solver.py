@@ -89,20 +89,20 @@ def _random_host(k, n, p, seed):
                         if rng.random() < p])
 
 
-# (pattern, order, partite): complete partite patterns list their parts in
-# size order; the others list the search order (K_{s,t} shapes put the core
+# (pattern, order): each pattern's placement order (complete partite
+# patterns take one vertex per part in turn, K_{s,t} shapes put the core
 # first, then the leaf groups; the tight path is most-constrained first)
 WITNESS_CASES = (
-    (K122, (0, 1, 2, 3, 4), True),
-    (K222, (0, 1, 2, 3, 4, 5), True),
-    (C4, (4, 5, 0, 1, 2, 3), False),
-    (k_st(3, 2, 3).graph, (6, 7, 0, 1, 2, 3, 4, 5), False),
-    (TIGHT_PATH, (2, 1, 3, 0, 4), False),
+    (K122, (0, 1, 3, 2, 4)),
+    (K222, (0, 2, 4, 1, 3, 5)),
+    (C4, (4, 5, 0, 1, 2, 3)),
+    (k_st(3, 2, 3).graph, (6, 7, 0, 1, 2, 3, 4, 5)),
+    (TIGHT_PATH, (2, 1, 3, 0, 4)),
 )
 
 
-@pytest.mark.parametrize("pattern,order,partite", WITNESS_CASES)
-def test_copy_set_witnesses_follow_the_witness_rule(pattern, order, partite):
+@pytest.mark.parametrize("pattern,order", WITNESS_CASES)
+def test_copy_set_witnesses_follow_the_witness_rule(pattern, order):
     # tile certificates print these witnesses, so the rule is part of the
     # byte-stable output
     seen = 0
@@ -110,8 +110,7 @@ def test_copy_set_witnesses_follow_the_witness_rule(pattern, order, partite):
         host = _random_host(3, pattern.n + 2, 0.75, seed)
         enum = enumerate_copy_sets(host, pattern)
         for vs in enum.sets:
-            expected = oracles.first_witness(host.edges, pattern.edges, vs,
-                                             order, partite)
+            expected = oracles.first_witness(host.edges, pattern.edges, vs, order)
             assert enum.witnesses[vs].images == expected
         seen += len(enum.sets)
     assert seen > 0
@@ -142,24 +141,24 @@ def test_contains_copy_agrees_with_brute_force(pattern, order, data):
     assert (None if emb is None else emb.images) == expected
 
 
-# (pattern, order, partite) as in WITNESS_CASES, for k = 2 and k = 3:
-# complete partite patterns with equal parts, K_{s,t} shapes, generic
-# patterns, and patterns with no edges or with an isolated vertex
+# (pattern, order) as in WITNESS_CASES, for k = 2 and k = 3: complete
+# partite patterns with equal parts, K_{s,t} shapes, generic patterns, and
+# patterns with no edges or with an isolated vertex
 SCAN_CASES = (
-    (complete_k_partite((1, 1, 1)).graph, (0, 1, 2), True),
-    (K122, (0, 1, 2, 3, 4), True),
-    (K222, (0, 1, 2, 3, 4, 5), True),
-    (C4, (4, 5, 0, 1, 2, 3), False),
-    (k_st(3, 1, 2).graph, (4, 0, 1, 2, 3), False),
-    (TIGHT_PATH, (2, 1, 3, 0, 4), False),
-    (build(3, 3, []), (0, 1, 2), False),
-    (build(3, 4, [(0, 1, 2)]), (0, 1, 2, 3), False),
-    (complete_k_partite((2, 2)).graph, (0, 1, 2, 3), True),
-    (complete_k_partite((1, 2)).graph, (0, 1, 2), True),
-    (build(2, 4, [(0, 1), (1, 2), (2, 3)]), (1, 2, 0, 3), False),
-    (build(2, 3, [(0, 1), (0, 2), (1, 2)]), (0, 1, 2), False),
-    (build(2, 2, []), (0, 1), False),
-    (build(2, 3, [(0, 1)]), (0, 1, 2), False),
+    (complete_k_partite((1, 1, 1)).graph, (0, 1, 2)),
+    (K122, (0, 1, 3, 2, 4)),
+    (K222, (0, 2, 4, 1, 3, 5)),
+    (C4, (4, 5, 0, 1, 2, 3)),
+    (k_st(3, 1, 2).graph, (4, 0, 1, 2, 3)),
+    (TIGHT_PATH, (2, 1, 3, 0, 4)),
+    (build(3, 3, []), (0, 1, 2)),
+    (build(3, 4, [(0, 1, 2)]), (0, 1, 2, 3)),
+    (complete_k_partite((2, 2)).graph, (0, 2, 1, 3)),
+    (complete_k_partite((1, 2)).graph, (0, 1, 2)),
+    (build(2, 4, [(0, 1), (1, 2), (2, 3)]), (1, 2, 0, 3)),
+    (build(2, 3, [(0, 1), (0, 2), (1, 2)]), (0, 1, 2)),
+    (build(2, 2, []), (0, 1)),
+    (build(2, 3, [(0, 1)]), (0, 1, 2)),
 )
 
 
@@ -167,11 +166,11 @@ SCAN_CASES = (
 @given(case=st.sampled_from(SCAN_CASES), extra=st.integers(0, 2),
        p=st.sampled_from((0.4, 0.7, 1.0)), seed=st.integers(0, 2 ** 16))
 def test_copy_sets_match_the_subset_scan(case, extra, p, seed):
-    pattern, order, partite = case
+    pattern, order = case
     host = _random_host(pattern.k, pattern.n + extra, p, seed)
     enum = enumerate_copy_sets(host, pattern)
     sets, witnesses = oracles.copy_sets_by_scan(
-        host.n, host.edges, pattern.n, pattern.edges, order, partite)
+        host.n, host.edges, pattern.n, pattern.edges, order)
     assert enum.sets == sets
     assert {vs: w.images for vs, w in enum.witnesses.items()} == witnesses
 
@@ -425,15 +424,23 @@ def test_exact_cover_by_twin_profile_ends_the_n24_barrier():
     assert calls <= 400
 
 
-@pytest.mark.parametrize("host, found, spans", [
+@pytest.mark.parametrize("host, found, built", [
     (barrier_graph(9, 9).graph, False, 0),
     (complete_k_partite((6, 6, 6)).graph, True, 3),
 ], ids=["barrier99-none", "k666-found"])
-def test_witnesses_are_found_when_read(host, found, spans):
-    # the partition scan runs once per printed copy, and not at all for none
-    out, calls = _calls(lambda: has_perfect_tiling(host, K222), "_spans")
+def test_witnesses_are_found_when_read(host, found, built, monkeypatch):
+    # a witness is built once per printed copy, and not at all for none
+    made = []
+    embedding = solver.Embedding
+
+    def counting(images):
+        made.append(images)
+        return embedding(images)
+
+    monkeypatch.setattr(solver, "Embedding", counting)
+    out = has_perfect_tiling(host, K222)
     assert out.found == found
-    assert len(calls) == spans
+    assert len(made) == built
     if found:
         enum = enumerate_copy_sets(host, K222)
         assert out.certificate.embeddings == tuple(

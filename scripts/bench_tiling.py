@@ -19,6 +19,11 @@ Tiling and probe rows also give `cover_calls`: the calls of the exact
 cover's and the max packing's inner searches (`cover` and `search` in
 `solver.py`), counted with `sys.setprofile` in one extra run that is not
 timed, so a speed-up reads as fewer nodes or as cheaper ones.
+The "verify checkers" rows time two searches of `hypertile verify` and
+give `search_nodes` in place of the split: the calls of `place` (the C4-free
+branch and bound in `experiments.py`) and `assign` (the realisation search
+in `invariants.py`), counted the same way in an untimed run before the timed
+ones, which also builds the census graphs outside the timing.
 The `cli-import` row is the exception: `total_s` is the median wall time of
 21 fresh `python -c "import hypertile.cli"` processes, started in the
 caller's environment, and its answer is the list of `hypertile` modules that
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -56,6 +62,8 @@ import time
 import hypertile
 from hypertile import (barrier_graph, build, cli, complete_k_partite, experiments,
                        hgio, k_st, probes, solver)
+
+invariants_module = sys.modules["hypertile.invariants"]
 
 
 class _Clock:
@@ -150,6 +158,21 @@ def _sweep():
     return {"stdout_sha256": hashlib.sha256(buffer.getvalue().encode()).hexdigest()}
 
 
+@functools.lru_cache(maxsize=None)
+def _census_graphs():
+    """Every graph of the threshold claim's census, n = 3..6, in its order."""
+    return tuple(build(3, n, experiments.edges_from_mask(n, mask)) for n in range(3, 7)
+                 for mask in sorted(experiments.three_partite_sigma_census(n)))
+
+
+def _sigma_census(graphs):
+    reports = [hypertile.invariants(g) for g in graphs]
+    return {"graphs": len(reports),
+            "realisations": sum(r.realisation_count for r in reports),
+            "reports_sha256": hashlib.sha256(repr(reports).encode()).hexdigest()}
+
+
+CHECKERS = "verify checkers"
 K222 = complete_k_partite((2, 2, 2)).graph
 K111 = complete_k_partite((1, 1, 1)).graph
 K112 = complete_k_partite((1, 1, 2)).graph
@@ -200,6 +223,11 @@ ROWS = {
         "probe", f"count_connectors({SPARSE100}, complete_k_partite((1, 1, 1)), 0, 1, 1)",
         lambda: {"count": probes.count_connectors(_random_host(0, 100, 0.002), K111, 0, 1, 1)}),
     "cli-import": ("import", 'python -c "import hypertile.cli"', _cli_import),
+    # The two exhaustive searches of `hypertile verify` that are not tilings.
+    "c4free-7": (CHECKERS, "experiments.four_cycle_free_max_edges(7)",
+                 lambda: {"edges": experiments.four_cycle_free_max_edges(7)}),
+    "sigma-census": (CHECKERS, "invariants(g) over the n = 3..6 sigma-census graphs",
+                     lambda: _sigma_census(_census_graphs())),
 }
 
 
@@ -236,16 +264,19 @@ def _package_meta() -> dict:
 
 
 SEARCHES = ("cover", "search")
+# The node functions of the verify checkers: the C4-free branch and bound
+# and the realisation search.
+CHECKER_NODES = ("place", "assign")
 
 
-def _search_calls(run) -> int:
-    """Calls of the tiling searches' inner functions during one run()."""
+def _search_calls(run, names=SEARCHES, files=(solver.__file__,)) -> int:
+    """Calls of the named inner functions of the given files during one run()."""
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
         code = frame.f_code
-        if event == "call" and code.co_name in SEARCHES and code.co_filename == solver.__file__:
+        if event == "call" and code.co_name in names and code.co_filename in files:
             calls += 1
 
     sys.setprofile(profile)
@@ -273,6 +304,11 @@ def measure(name: str, repeat: int) -> dict:
     originals = {(m, f): getattr(m, f) for m in (solver, experiments, cli, probes)
                  for f in ("enumerate_copy_sets", "has_perfect_tiling", "max_tiling")
                  if hasattr(m, f)}
+    nodes = None
+    if layer == CHECKERS:
+        # Counted before the timed runs, which also builds a row's cached inputs.
+        nodes = _search_calls(run, CHECKER_NODES,
+                              (experiments.__file__, invariants_module.__file__))
     best = None
     for _ in range(repeat):
         clock = _Clock()
@@ -289,16 +325,22 @@ def measure(name: str, repeat: int) -> dict:
         if best is None or total < best["total_s"]:
             best = {"row": name, "layer": layer, "code": code,
                     "unit": f"s CPU, fastest of {repeat}", "total_s": round(total, 3),
-                    "reference_s": reference, "enumeration_s": round(clock.enumeration, 3)}
+                    "reference_s": reference}
+            if layer == CHECKERS:
+                best["search_nodes"] = nodes
+            else:
+                best["enumeration_s"] = round(clock.enumeration, 3)
             if layer == "tiling":
                 best["cover_s"] = round(clock.tiling - clock.enumeration, 3)
-            else:
+            elif layer == "probe":
                 best["enumerations"] = clock.calls["enumeration"]
                 best["tilings"] = clock.calls["tiling"]
             best["answer"] = {k: v for k, v in answer.items() if k != "copies"}
             best["answer_sha256"] = hashlib.sha256(
                 json.dumps(answer, sort_keys=True).encode()).hexdigest()
-    return {**best, "cover_calls": _search_calls(run), **_package_meta()}
+    if layer != CHECKERS:
+        best["cover_calls"] = _search_calls(run)
+    return {**best, **_package_meta()}
 
 
 def main() -> int:

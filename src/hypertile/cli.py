@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import experiments
+from .budget import resolve_budget
 from .constructions import (LabeledConstruction, barrier_graph, complete_k_partite,
                             cone_graph, field_product_graph, fortified_barrier,
                             k_st, mirrored_product_graph)
@@ -370,6 +371,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 1
     try:
+        if hasattr(args, "budget"):
+            resolve_budget(args.budget)  # a bad --budget or HYPERTILE_BUDGET fails before any work
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"hypertile: budget: {exc}", file=sys.stderr)

@@ -119,19 +119,6 @@ class Hypergraph:
             return 0
         return min(counts.values())
 
-    def neighborhood(self, s_set: Iterable[int]) -> set[VertexSet]:
-        """All (k-|S|)-sets T with S union T an edge.  Requires |S| < k."""
-        s = vertex_set(s_set)
-        self._check_vertices(s)
-        if len(s) >= self.k:
-            raise ValidationError(f"neighborhood needs |S| < k, got |S| = {len(s)}")
-        ss = set(s)
-        out: set[VertexSet] = set()
-        for e in self.edges:
-            if ss.issubset(e):
-                out.add(tuple(v for v in e if v not in ss))
-        return out
-
     # -- restricted views ----------------------------------------------
 
     def induced(self, u_set: Iterable[int]) -> "RelabeledGraph":

@@ -7,6 +7,7 @@ never inside them, so serialized reports are byte-stable across runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -116,14 +117,18 @@ def naive_perfect_tiling(host: Hypergraph, pattern: Hypergraph) -> bool:
 def four_cycle_free_max_edges(n: int) -> int:
     """Largest edge count of a 2-graph on n vertices with all codegrees <= 1.
 
-    Branch and bound over the pair list in lexicographic order; the codegree
-    table is updated incrementally on include branches.
+    Branch and bound over the pair list in lexicographic order, with one
+    adjacency bitmask per vertex.  Adding the pair uv closes a 4-cycle
+    u-v-x-y exactly when some neighbour x of v shares a neighbour y with u,
+    so uv is included iff the OR of adj[x] over x in N(v) misses adj[u].
+    This one-sided test equals the codegree rule, which bumps codeg(x, u)
+    for x in N(v) and codeg(y, v) for y in N(u): a new 4-cycle u-v-x-y
+    pushes both codeg(x, u) and codeg(y, v) to 2, so either side sees it.
     """
     if n < 0:
         raise ValidationError(f"vertex count must be nonnegative, got {n}")
     pairs = list(itertools.combinations(range(n), 2))
     adj = [0] * n
-    codeg = [[0] * n for _ in range(n)]
     best = 0
 
     def place(i: int, count: int) -> None:
@@ -133,25 +138,18 @@ def four_cycle_free_max_edges(n: int) -> int:
         if i == len(pairs) or count + (len(pairs) - i) <= best:
             return
         u, v = pairs[i]
-        bumped: list[tuple[int, int]] = []
-        ok = True
-        for x in range(n):
-            if x != u and adj[v] >> x & 1:
-                bumped.append((min(x, u), max(x, u)))
-            if x != v and adj[u] >> x & 1:
-                bumped.append((min(x, v), max(x, v)))
-        for a, b in bumped:
-            codeg[a][b] += 1
-            if codeg[a][b] > 1:
-                ok = False
-        if ok:
+        reach = 0
+        rest = adj[v]
+        while rest:
+            low = rest & -rest
+            reach |= adj[low.bit_length() - 1]
+            rest ^= low
+        if not reach & adj[u]:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             place(i + 1, count + 1)
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-        for a, b in bumped:
-            codeg[a][b] -= 1
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
         place(i + 1, count)
 
     place(0, 0)
@@ -184,7 +182,7 @@ def three_partite_sigma_census(n: int) -> dict[int, Fraction]:
     Graphs are encoded as bitmasks over the lexicographic triple list. This is
     a from-scratch coloring scan, independent of the realisation backtracker.
     """
-    triples = list(itertools.combinations(range(n), 3))
+    triples = _triples(n)
     colorings: list[tuple[int, int]] = []
     for labels in three_class_partitions(n):
         mask = 0
@@ -212,9 +210,15 @@ def three_partite_sigma_census(n: int) -> dict[int, Fraction]:
     return census
 
 
+@functools.lru_cache(maxsize=None)
+def _triples(n: int) -> tuple[tuple[int, ...], ...]:
+    """The 3-subsets of 0..n-1 in lexicographic order: the census bit order."""
+    return tuple(itertools.combinations(range(n), 3))
+
+
 def edges_from_mask(n: int, mask: int) -> list[tuple[int, ...]]:
     """Decode a triple bitmask back into an edge list."""
-    triples = list(itertools.combinations(range(n), 3))
+    triples = _triples(n)
     return [triples[i] for i in range(mask.bit_length()) if mask >> i & 1]
 
 
@@ -431,8 +435,12 @@ def _claim_probe_exactness(seed: int, budget: int | None) -> tuple[bool, dict]:
         n = 4 + idx % 7
         p = (idx % 4 + 1) / 5
         host = random_hypergraph(rng, 3, n, p)
+        links: list[set[tuple[int, ...]]] = [set() for _ in range(n)]
+        for e in host.edges:
+            for v in e:
+                links[v].add(tuple(w for w in e if w != v))
         for x, y in itertools.combinations(range(n), 2):
-            expected = len(host.neighborhood((x,)) & host.neighborhood((y,)))
+            expected = len(links[x] & links[y])
             got = count_connectors(host, edge, x, y, 1, budget=budget)
             connector_checks += 1
             if got != expected:

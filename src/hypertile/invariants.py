@@ -26,6 +26,19 @@ def realisations(pattern: Hypergraph) -> list[Partition]:
     Deduplicated up to permutation of the classes: the search assigns class
     labels in first-use order (restricted growth), so each unordered
     partition appears exactly once.  Empty list iff F is not k-partite.
+    The search is the class-mask search of _class_masks; each result
+    becomes one Partition.
+    """
+    n = pattern.n
+    return sorted((Partition([[v for v in range(n) if m >> v & 1] for m in masks], n)
+                   for masks in _class_masks(pattern)), key=lambda p: p.parts)
+
+
+def _class_masks(pattern: Hypergraph) -> list[tuple[int, ...]]:
+    """The realisations as k-tuples of class bitmasks, in search order.
+
+    Vertex v may join class lab iff the class holds none of the earlier
+    vertices that share an edge with v (conflicts[v]).
     """
     k = pattern.k
     n = pattern.n
@@ -37,34 +50,30 @@ def realisations(pattern: Hypergraph) -> list[Partition]:
         return []
     # For a k-uniform edge, "meets every class exactly once" means all k
     # vertices get pairwise distinct labels.
-    conflicts: list[list[int]] = [[] for _ in range(n)]
+    conflicts = [0] * n
     for e in pattern.edges:
         for i, v in enumerate(e):
             for u in e[:i]:
-                conflicts[v].append(u)
-    labels = [-1] * n
-    found: list[Partition] = []
+                conflicts[v] |= 1 << u
+    classes = [0] * k
+    found: list[tuple[int, ...]] = []
 
     def assign(v: int, used: int) -> None:
         if v == n:
             if used == k:
-                parts: list[list[int]] = [[] for _ in range(k)]
-                for u, lab in enumerate(labels):
-                    parts[lab].append(u)
-                found.append(Partition(parts, n))
+                found.append(tuple(classes))
             return
         # Even giving every later vertex a new label cannot reach k classes.
         if used + (n - v) < k:
             return
-        cap = min(used + 1, k)
-        for lab in range(cap):
-            if all(labels[u] != lab for u in conflicts[v]):
-                labels[v] = lab
+        bit = 1 << v
+        for lab in range(min(used + 1, k)):
+            if not classes[lab] & conflicts[v]:
+                classes[lab] |= bit
                 assign(v + 1, max(used, lab + 1))
-                labels[v] = -1
+                classes[lab] ^= bit
 
     assign(0, 0)
-    found.sort(key=lambda p: p.parts)
     return found
 
 
@@ -82,14 +91,14 @@ class InvariantReport(NamedTuple):
 
 def invariants(pattern: Hypergraph) -> InvariantReport:
     """Compute the class-size invariants; raises NotKPartiteError if none exist."""
-    reals = realisations(pattern)
+    reals = _class_masks(pattern)
     if not reals:
         raise NotKPartiteError(
             f"pattern on {pattern.n} vertices admits no {pattern.k}-partite realisation")
     s_vals: set[int] = set()
     d_vals: set[int] = {0}
-    for r in reals:
-        sizes = r.sizes
+    for masks in reals:
+        sizes = [m.bit_count() for m in masks]
         s_vals.update(sizes)
         for i, a in enumerate(sizes):
             for b in sizes[i + 1:]:

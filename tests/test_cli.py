@@ -383,6 +383,38 @@ def test_budget_env_var(capsys, b75_path, k222_path, monkeypatch):
     assert main(["tile", b75_path, "--pattern", k222_path]) == 0
 
 
+def test_bad_budget_fails_before_a_divisibility_answer(capsys, tmp_path):
+    host = write_pattern(tmp_path, "host.hg", 3, 5, [(0, 1, 2)])
+    pattern = write_pattern(tmp_path, "edge.hg", 3, 3, [(0, 1, 2)])
+    code, out, err = run(capsys, ["tile", host, "--pattern", pattern, "--budget", "-3"])
+    assert code == 1
+    assert out == ""
+    assert "budget must be positive, got -3" in err
+
+
+def test_bad_budget_fails_on_a_claim_that_charges_nothing(capsys):
+    code, out, err = run(capsys, ["verify", "--claims", "kst-turan", "--budget", "0"])
+    assert code == 1
+    assert out == ""
+    assert "budget must be positive, got 0" in err
+
+
+def test_bad_budget_fails_before_any_claim_runs(capsys, monkeypatch):
+    import hypertile.experiments as exp
+    ran = []
+    monkeypatch.setattr(
+        exp, "_CLAIMS",
+        (("recorded", lambda seed, budget: (ran.append(budget) or True, {})),))
+    code, out, err = run(capsys, ["verify", "--budget", "0"])
+    assert code == 1
+    assert ran == []
+    monkeypatch.setenv("HYPERTILE_BUDGET", "0")
+    code, out, err = run(capsys, ["verify"])
+    assert code == 1
+    assert ran == []
+    assert "HYPERTILE_BUDGET must be positive, got 0" in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

@@ -1,11 +1,12 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
 
 import oracles
 from conftest import hypergraphs
-from hypertile import build, has_perfect_tiling, invariants, verify_suite
+from hypertile import build, experiments, has_perfect_tiling, invariants, verify_suite
 from hypertile.errors import ValidationError
 from hypertile.experiments import (
     DEFAULT_SEED,
@@ -52,6 +53,26 @@ def test_four_cycle_turan_values(n, expected):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_four_cycle_turan_matches_exhaustive_oracle(n):
     assert four_cycle_free_max_edges(n) == oracles.c4_free_max_edges(n)
+
+
+def test_four_cycle_search_tree_is_pinned():
+    # Nodes of the branch and bound over n = 1..7: the codegree-table search
+    # made exactly this many, so the bitmask test walks the same tree.
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if event == "call" and code.co_name == "place" and code.co_filename == experiments.__file__:
+            nodes += 1
+
+    sys.setprofile(profile)
+    try:
+        values = [four_cycle_free_max_edges(n) for n in range(1, 8)]
+    finally:
+        sys.setprofile(None)
+    assert values == [0, 1, 3, 4, 6, 7, 9]
+    assert nodes == 157_591
 
 
 def test_three_class_partition_counts():

@@ -64,6 +64,25 @@ def test_sigma_matches_coloring_oracle(g):
         assert rep.sigma <= Fraction(1, g.k)
 
 
+@given(hypergraphs(max_n=6))
+def test_invariants_match_public_realisations(g):
+    reals = realisations(g)
+    for r in reals:
+        for e in g.edges:
+            assert r.index_vector(e) == (1,) * g.k
+    if not reals:
+        with pytest.raises(NotKPartiteError):
+            invariants(g)
+        return
+    rep = invariants(g)
+    sizes = {s for r in reals for s in r.sizes}
+    diffs = {abs(a - b) for r in reals for a in r.sizes for b in r.sizes}
+    assert rep.s_set == tuple(sorted(sizes))
+    assert rep.d_set == tuple(sorted(diffs))
+    assert rep.realisation_count == len(reals)
+    assert rep.sigma == Fraction(min(sizes), g.n)
+
+
 def test_not_partite_raises():
     k4 = build(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     assert realisations(k4) == []

@@ -24,6 +24,10 @@ give `search_nodes` in place of the split: the calls of `place` (the C4-free
 branch and bound in `experiments.py`) and `assign` (the realisation search
 in `invariants.py`), counted the same way in an untimed run before the timed
 ones, which also builds the census graphs outside the timing.
+The "twin classes" row times the host twin-class search alone
+(`solver._twin_classes`) and has no split; one untimed run before the timed
+ones builds the host and the solver's link table for it (`solver._links`),
+which the search reads.  Its answer is the class sizes.
 The `cli-import` row is the exception: `total_s` is the median wall time of
 21 fresh `python -c "import hypertile.cli"` processes, started in the
 caller's environment, and its answer is the list of `hypertile` modules that
@@ -165,6 +169,15 @@ def _census_graphs():
                  for mask in sorted(experiments.three_partite_sigma_census(n)))
 
 
+@functools.lru_cache(maxsize=None)
+def _barrier_host(a: int, b: int):
+    return barrier_graph(a, b).graph
+
+
+def _twin_class_sizes(host):
+    return {"class_sizes": [c.bit_count() for c in solver._twin_classes(host)]}
+
+
 def _sigma_census(graphs):
     reports = [hypertile.invariants(g) for g in graphs]
     return {"graphs": len(reports),
@@ -173,6 +186,7 @@ def _sigma_census(graphs):
 
 
 CHECKERS = "verify checkers"
+TWINS = "twin classes"
 K222 = complete_k_partite((2, 2, 2)).graph
 K111 = complete_k_partite((1, 1, 1)).graph
 K112 = complete_k_partite((1, 1, 2)).graph
@@ -222,6 +236,9 @@ ROWS = {
     "connectors100sparse-k111-i1": (
         "probe", f"count_connectors({SPARSE100}, complete_k_partite((1, 1, 1)), 0, 1, 1)",
         lambda: {"count": probes.count_connectors(_random_host(0, 100, 0.002), K111, 0, 1, 1)}),
+    # n = 192, two classes: the size of the quotient decision's hosts.
+    "twins-barrier9795": (TWINS, "solver._twin_classes(barrier_graph(97, 95))",
+                          lambda: _twin_class_sizes(_barrier_host(97, 95))),
     "cli-import": ("import", 'python -c "import hypertile.cli"', _cli_import),
     # The two exhaustive searches of `hypertile verify` that are not tilings.
     "c4free-7": (CHECKERS, "experiments.four_cycle_free_max_edges(7)",
@@ -309,6 +326,8 @@ def measure(name: str, repeat: int) -> dict:
         # Counted before the timed runs, which also builds a row's cached inputs.
         nodes = _search_calls(run, CHECKER_NODES,
                               (experiments.__file__, invariants_module.__file__))
+    elif layer == TWINS:
+        run()                   # builds the host and its link table untimed
     best = None
     for _ in range(repeat):
         clock = _Clock()
@@ -328,7 +347,7 @@ def measure(name: str, repeat: int) -> dict:
                     "reference_s": reference}
             if layer == CHECKERS:
                 best["search_nodes"] = nodes
-            else:
+            elif layer != TWINS:
                 best["enumeration_s"] = round(clock.enumeration, 3)
             if layer == "tiling":
                 best["cover_s"] = round(clock.tiling - clock.enumeration, 3)
@@ -338,7 +357,7 @@ def measure(name: str, repeat: int) -> dict:
             best["answer"] = {k: v for k, v in answer.items() if k != "copies"}
             best["answer_sha256"] = hashlib.sha256(
                 json.dumps(answer, sort_keys=True).encode()).hexdigest()
-    if layer != CHECKERS:
+    if layer not in (CHECKERS, TWINS):
         best["cover_calls"] = _search_calls(run)
     return {**best, **_package_meta()}
 

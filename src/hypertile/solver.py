@@ -7,19 +7,23 @@ single-threaded and deterministic: hosts, copy sets, and cover candidates
 are always iterated in ascending or lexicographic order, so the
 first witness found is a stable function of the input.
 
+Vertices u and v are twins when swapping them is an automorphism.  Twinhood
+is an equivalence, any permutation inside its classes is an automorphism,
+and `_twin_classes` finds the classes of patterns and hosts alike.
+
 Pattern structure is analysed once per pattern and cached, and copies are
 found by one search, an ordered bitset embedder: pattern vertices are
 placed in a fixed order (one vertex per part in turn for complete partite
 patterns, the core then the leaf groups for K_{s,t} shapes, most-constrained
 first otherwise), the candidates for the next one are the free vertices
 ANDed with the host's link bitset of every (k-1)-set it closes, and twins
-(vertices whose swap is an automorphism) and equal blocks (parts of equal
-size, leaf groups) take increasing images.  Candidates are tried in
-increasing order, so embeddings come in lexicographic order, read in the
-placement order.  `contains_copy` returns the first one.  Copy-set
-enumeration runs the embedder to every solution and keeps each vertex set
-with the first embedding that reaches it as its witness, built when it is
-read, so a search that returns no copy builds none.
+and equal blocks (parts of equal size, leaf groups) take increasing images.
+Candidates are tried in increasing order, so embeddings come in
+lexicographic order, read in the placement order.  `contains_copy` returns
+the first one.  Copy-set enumeration runs the embedder to every solution
+and keeps each vertex set with the first embedding that reaches it as its
+witness, built when it is read, so a search that returns no copy builds
+none.
 
 Tilings are searched over one table of the host's copy sets: each set's
 vertex bitmask and, per vertex, a column: the bitset of the sets through
@@ -29,14 +33,13 @@ and a popcount, and choosing a set clears the columns of its vertices.
 In the exact cover the live sets are exactly those inside the uncovered
 vertices, so the uncovered mask is the whole state of a node, and a choice
 that leaves t = |V(F)| vertices is decided by looking their mask up in the
-table (the sets are distinct t-sets), not by a node of its own.  Host
-vertices u and v are twins when swapping them is an automorphism of the
-host; twins fall into classes, and any permutation inside the classes is an
-automorphism, which maps copy sets to copy sets.  So a node's outcome
-depends only on its profile, the number of uncovered vertices in each class:
-a failed profile is remembered, and a choice whose remaining vertices have
-a failed profile is skipped before its node is built.  Only failing
-subtrees are cut, so the branch order and the first cover are unchanged.
+table (the sets are distinct t-sets), not by a node of its own.  A
+permutation inside the host's twin classes maps copy sets to copy sets, so
+a node's outcome depends only on its profile, the number of uncovered
+vertices in each class: a failed profile is remembered, and a choice whose
+remaining vertices have a failed profile is skipped before its node is
+built.  Only failing subtrees are cut, so the branch order and the first
+cover are unchanged.
 """
 
 from __future__ import annotations
@@ -160,14 +163,6 @@ def _generic_order(pattern: Hypergraph) -> tuple[int, ...]:
     return tuple(placed)
 
 
-def _are_twins(pattern: Hypergraph, u: int, v: int) -> bool:
-    """Whether swapping u and v maps the pattern's edge set onto itself."""
-    swap = {u: v, v: u}
-    edge_set = pattern.edge_set()
-    return all(tuple(sorted(swap.get(w, w) for w in e)) in edge_set
-               for e in pattern.edges)
-
-
 @lru_cache(maxsize=256)
 def _plan(pattern: Hypergraph) -> _Plan:
     parts = _partite_parts(pattern)
@@ -187,10 +182,11 @@ def _plan(pattern: Hypergraph) -> _Plan:
     for e in pattern.edges:
         last = max(e, key=position.__getitem__)
         checks[position[last]].append(tuple(u for u in e if u != last))
-    # Twins fall into swap classes; increasing images within a class keep
-    # one embedding per copy, and the lexicographically first one survives.
-    twin = [next((j for j in range(i - 1, -1, -1)
-                  if _are_twins(pattern, order[j], v)), -1)
+    # Increasing images within a twin class keep one embedding per copy, and
+    # the lexicographically first one survives.
+    classes = _twin_classes(pattern)
+    mates = [next(c for c in classes if c >> v & 1) for v in range(pattern.n)]
+    twin = [next((j for j in range(i - 1, -1, -1) if mates[v] >> order[j] & 1), -1)
             for i, v in enumerate(order)]
     # Swapping two whole blocks of equal size (the parts of a complete
     # partite pattern, the leaf groups of a K_{s,t} shape) is an automorphism
@@ -216,38 +212,38 @@ def _links(host: Hypergraph) -> dict[int, int]:
     return links
 
 
-def _twin_classes(host: Hypergraph) -> list[int]:
-    """Vertex masks of the host's twin classes, by smallest vertex: u and v
-    are twins when swapping them maps the edge set onto itself.  Each vertex
-    u is tested, by the edge-swap test on the rests (the masks e - u of the
-    edges e through u), against one member of each earlier class that can
-    hold a twin: for any rest r of u, a twin v lies in r or completes r to
-    an edge, so the candidates are r and its link."""
-    rests: list[set[int]] = [set() for _ in range(host.n)]
-    for e in host.edges:
+def _twin_classes(graph: Hypergraph) -> list[int]:
+    """Vertex masks of the graph's twin classes, by smallest vertex.  Each
+    vertex u is tested against one member v of each earlier class that can
+    hold a twin: for any rest r of u (the mask e - u of an edge e through
+    u), a twin lies in r or completes r to an edge, so the candidates are r
+    and its link.  The swap of u and v is an automorphism exactly when u and
+    v have equal degrees and, for every rest r of u, v is in r or in r's
+    link: it fixes the edges through both, maps an edge r + u that misses v
+    to r + v, an edge exactly when v is in r's link, and so maps the edges
+    through u into those through v, onto them when the degrees are equal;
+    as an involution it then maps the edges through v back."""
+    rests: list[list[int]] = [[] for _ in range(graph.n)]
+    for e in graph.edges:
         full = 0
         for v in e:
             full |= 1 << v
         for v in e:
-            rests[v].add(full ^ (1 << v))
-    link = _links(host)
+            rests[v].append(full ^ (1 << v))
+    link = _links(graph)
     bare = 0                                    # the vertices in no edge
     class_of: list[int] = []
     classes: list[int] = []
     for u, mine in enumerate(rests):
         if mine:
-            r = next(iter(mine))
-            candidates = (r | link[r]) & ((1 << u) - 1)
+            candidates = (mine[0] | link[mine[0]]) & ((1 << u) - 1)
         else:
             candidates = bare
             bare |= 1 << u
         while candidates:
             v = (candidates & -candidates).bit_length() - 1
-            theirs, swap = rests[v], 1 << u | 1 << v
-            # The swap maps the edges through u onto those through v (the
-            # edges through v then follow, as the swap is an involution).
-            if len(mine) == len(theirs) and all(
-                    (r ^ swap if r >> v & 1 else r) in theirs for r in mine):
+            if len(mine) == len(rests[v]) and all(
+                    r >> v & 1 or link[r] >> v & 1 for r in mine):
                 class_of.append(class_of[v])
                 classes[class_of[v]] |= 1 << u
                 break
@@ -453,7 +449,7 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
     subtrees and keeps the branch order."""
     chosen: list[int] = []
     dead: set[int] = set()
-    units = _profile_units(len(cols), classes) if classes else None
+    units = _profile_units(len(cols), classes)
     if units is None:
         key, state = masks.__getitem__, target
     else:
@@ -509,7 +505,8 @@ def _max_packing_first(sets: Sequence[VertexSet], masks: Sequence[int],
                        cols: Sequence[int], t: int) -> list[int]:
     """Largest disjoint family of the t-sets, by branch and bound on the
     smallest available vertex: each live candidate through it in ascending
-    index order, then leaving it uncovered.  A node is cut when covering
+    index order, then leaving it uncovered, as the next pass of a loop, so
+    the search nests once per chosen copy.  A node is cut when covering
     every available vertex could not beat the incumbent, which also ends
     the search when nothing is available."""
     best: list[int] = []
@@ -519,21 +516,21 @@ def _max_packing_first(sets: Sequence[VertexSet], masks: Sequence[int],
         nonlocal best
         if len(current) > len(best):
             best = list(current)
-        if len(current) + available.bit_count() // t <= len(best):
-            return
-        v = (available & -available).bit_length() - 1
-        through = options = live & cols[v]
-        while options:
-            low = options & -options
-            ci = low.bit_length() - 1
-            touching = 0
-            for u in sets[ci]:
-                touching |= cols[u]
-            current.append(ci)
-            search(available ^ masks[ci], live ^ (live & touching))
-            current.pop()
-            options ^= low
-        search(available ^ (1 << v), live ^ through)
+        while len(current) + available.bit_count() // t > len(best):
+            v = (available & -available).bit_length() - 1
+            through = options = live & cols[v]
+            while options:
+                low = options & -options
+                ci = low.bit_length() - 1
+                touching = 0
+                for u in sets[ci]:
+                    touching |= cols[u]
+                current.append(ci)
+                search(available ^ masks[ci], live ^ (live & touching))
+                current.pop()
+                options ^= low
+            available ^= 1 << v
+            live ^= through
 
     search((1 << len(cols)) - 1, (1 << len(sets)) - 1)
     return best
@@ -572,8 +569,6 @@ def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
         raise ValidationError("pattern has no vertices")
     if host.n % pattern.n != 0:
         return TilingOutcome(None, REASON_DIVISIBILITY)
-    if host.n == 0:
-        return TilingOutcome(TilingCertificate((), ()), REASON_FOUND)
     enum = enumerate_copy_sets(host, pattern, budget=budget)
     try:
         solution = _exact_cover_first(enum.sets, *_candidate_tables(host.n, enum.sets),
@@ -590,11 +585,8 @@ def max_tiling(host: Hypergraph, pattern: Hypergraph,
                budget: int | None = None) -> tuple[int, TilingCertificate]:
     """Largest vertex-disjoint family of pattern copies, by branch and bound
     over the copy sets (see `_max_packing_first`).  The packing recurses once
-    per chosen copy and once per vertex it leaves uncovered; a search that
-    nests past the interpreter's recursion limit raises ValidationError."""
-    _check_pair(host, pattern)
-    if pattern.n == 0:
-        raise ValidationError("pattern has no vertices")
+    per chosen copy; a search that nests past the interpreter's recursion
+    limit raises ValidationError."""
     enum = enumerate_copy_sets(host, pattern, budget=budget)
     masks, cols, _ = _candidate_tables(host.n, enum.sets)
     try:

@@ -21,7 +21,7 @@ from hypertile import (
     verify_certificate,
 )
 from hypertile import solver
-from hypertile.solver import (_candidate_tables, _exact_cover_first,
+from hypertile.solver import (TilingCertificate, _candidate_tables, _exact_cover_first,
                               _max_packing_first, copies_of_type)
 from hypertile.errors import BudgetExceededError, ValidationError
 from hypertile.experiments import naive_perfect_tiling
@@ -195,6 +195,12 @@ def test_perfect_tiling_divisibility_short_circuit():
     assert not out.found and out.reason == "divisibility"
 
 
+def test_perfect_tiling_of_the_empty_host_is_the_empty_cover():
+    # nothing is enumerated, so nothing is charged to the budget
+    out = has_perfect_tiling(build(3, 0, []), EDGE, budget=1)
+    assert out == (TilingCertificate((), ()), "found")
+
+
 def test_barrier_blocks_even_patterns():
     # odd mirror side forces every tiling to miss: verified exhaustive
     for pattern in (K222, C4):
@@ -248,6 +254,24 @@ def test_max_tiling_fixtures():
     assert size == 2
     assert cert.covered == (0, 1, 2, 3, 4, 5)
     assert verify_certificate(two_blocks, EDGE, cert, require_perfect=True)
+
+
+def test_max_tiling_validation():
+    # the uniformity check comes before the empty-pattern check
+    for host, pattern, message in (
+            (build(2, 3, [(0, 1)]), build(3, 0, []),
+             "uniformity mismatch: host is 2-uniform, pattern 3-uniform"),
+            (B75, build(3, 0, []), "pattern has no vertices")):
+        with pytest.raises(ValidationError) as info:
+            max_tiling(host, pattern)
+        assert str(info.value) == message
+
+
+def test_max_tiling_nests_once_per_chosen_copy():
+    # 1,196 vertices in no edge: leaving each uncovered must not nest
+    host = build(2, 1200, [(0, 1), (2, 3)])
+    size, cert = max_tiling(host, build(2, 2, [(0, 1)]))
+    assert size == 2 and cert.covered == (0, 1, 2, 3)
 
 
 def test_max_tiling_saturates_on_perfect_instances():
@@ -487,9 +511,40 @@ def blow_ups(draw, ks=(2, 3, 4), max_n=9):
 @settings(max_examples=200)
 @example(barrier_graph(4, 3).graph)
 @example(build(3, 4, []))                     # one class of bare vertices
-@given(blow_ups() | hypergraphs(k=2, max_n=7) | hypergraphs(max_n=7))
+@given(blow_ups() | hypergraphs(k=2, max_n=7) | hypergraphs(max_n=7)
+       | hypergraphs(k=4, max_n=7))
 def test_twin_classes_match_the_oracle(g):
     assert solver._twin_classes(g) == oracles.twin_classes(g.n, g.edges)
+
+
+def _oracle_twin_rule(pattern):
+    """Per position of the plan's order: the nearest earlier position whose
+    vertex is an oracle twin of its own, or -1; then, for each block (a
+    part, a leaf group) as large as the block before it, the position of
+    that block's first vertex at its own first vertex."""
+    order = solver._plan(pattern).order
+    classes = oracles.twin_classes(pattern.n, pattern.edges)
+    twin = [next((j for j in range(i - 1, -1, -1)
+                  if any(c >> v & 1 and c >> order[j] & 1 for c in classes)), -1)
+            for i, v in enumerate(order)]
+    blocks = solver._partite_parts(pattern)
+    if blocks is None:
+        blocks = (solver._kst_shape(pattern) or ((), ()))[1]
+    for prev, block in zip(blocks, blocks[1:]):
+        if len(prev) == len(block):
+            twin[order.index(block[0])] = order.index(prev[0])
+    return tuple(twin)
+
+
+@settings(max_examples=200)
+@example(K222)
+@example(C4)
+@example(k_st(3, 2, 3).graph)
+@example(complete_k_partite((2, 2, 3)).graph)
+@given(blow_ups(max_n=8) | hypergraphs(k=2, max_n=7) | hypergraphs(max_n=7)
+       | hypergraphs(k=4, max_n=7))
+def test_plan_twins_follow_the_oracle_rule(pattern):
+    assert solver._plan(pattern).twin == _oracle_twin_rule(pattern)
 
 
 @st.composite
@@ -614,7 +669,7 @@ def test_verify_certificate_rejects_damage():
     out = has_perfect_tiling(complete_k_partite((4, 4, 4)).graph, K222)
     host = complete_k_partite((4, 4, 4)).graph
     cert = out.certificate
-    from hypertile.solver import Embedding, TilingCertificate
+    from hypertile.solver import Embedding
 
     # overlapping copies
     twice = TilingCertificate((cert.embeddings[0], cert.embeddings[0]),

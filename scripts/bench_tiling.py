@@ -28,6 +28,12 @@ The "twin classes" row times the host twin-class search alone
 (`solver._twin_classes`) and has no split; one untimed run before the timed
 ones builds the host and the solver's link table for it (`solver._links`),
 which the search reads.  Its answer is the class sizes.
+The "copy search" row times one `contains_copy` and the "enumeration" row
+the copy-set enumerations of the barrier-parity claim of `hypertile
+verify`; an untimed run before the timed ones builds their hosts and
+compiles the pattern's plan.  The copy search reuses the host's link table
+from that run; the 60 parity hosts outnumber the link tables the solver
+keeps, so each enumeration builds its own.
 The `cli-import` row is the exception: `total_s` is the median wall time of
 21 fresh `python -c "import hypertile.cli"` processes, started in the
 caller's environment, and its answer is the list of `hypertile` modules that
@@ -65,7 +71,7 @@ import time
 
 import hypertile
 from hypertile import (barrier_graph, build, cli, complete_k_partite, experiments,
-                       hgio, k_st, probes, solver)
+                       field_product_graph, hgio, k_st, probes, solver)
 
 invariants_module = sys.modules["hypertile.invariants"]
 
@@ -174,6 +180,25 @@ def _barrier_host(a: int, b: int):
     return barrier_graph(a, b).graph
 
 
+@functools.lru_cache(maxsize=None)
+def _field_product_host(q: int):
+    return field_product_graph(q).graph
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_hosts():
+    """The hosts of the barrier-parity claim: barrier_graph(a, b) for
+    a, b <= PARITY_SIDE_MAX with a + b at least the pattern's order."""
+    side = range(experiments.PARITY_SIDE_MAX + 1)
+    return tuple(barrier_graph(a, b).graph for a in side for b in side
+                 if a + b >= KST322.n)
+
+
+def _parity_sets(hosts):
+    return {"hosts": len(hosts),
+            "copy_sets": sum(len(solver.enumerate_copy_sets(h, KST322).sets) for h in hosts)}
+
+
 def _twin_class_sizes(host):
     return {"class_sizes": [c.bit_count() for c in solver._twin_classes(host)]}
 
@@ -187,9 +212,15 @@ def _sigma_census(graphs):
 
 CHECKERS = "verify checkers"
 TWINS = "twin classes"
+COPY_SEARCH = "copy search"
+ENUMERATION = "enumeration"
+# layers whose inputs an untimed run builds first, and that run no cover
+PREPARED = (TWINS, COPY_SEARCH, ENUMERATION)
 K222 = complete_k_partite((2, 2, 2)).graph
 K111 = complete_k_partite((1, 1, 1)).graph
 K112 = complete_k_partite((1, 1, 2)).graph
+K122 = complete_k_partite((1, 2, 2)).graph
+KST322 = k_st(3, 2, 2).graph
 RANDOM14 = "random n=14 p=0.5 seed 0"
 DENSE100 = "random n=100 p=0.5 seed 0"
 SPARSE100 = "random n=100 p=0.002 seed 0"
@@ -239,6 +270,13 @@ ROWS = {
     # n = 192, two classes: the size of the quotient decision's hosts.
     "twins-barrier9795": (TWINS, "solver._twin_classes(barrier_graph(97, 95))",
                           lambda: _twin_class_sizes(_barrier_host(97, 95))),
+    # The two searches of `hypertile verify` that spend the most time in
+    # the embedder: the product-graph-free and barrier-parity claims.
+    "fieldprod11-k122": (COPY_SEARCH, "contains_copy(field_product_graph(11), complete_k_partite((1, 2, 2)))",
+                         lambda: {"copy": solver.contains_copy(_field_product_host(11), K122)}),
+    "parity-kst322": (ENUMERATION, "enumerate_copy_sets(barrier_graph(a, b), k_st(3, 2, 2))"
+                                   " over the barrier-parity claim's 60 hosts",
+                      lambda: _parity_sets(_parity_hosts())),
     "cli-import": ("import", 'python -c "import hypertile.cli"', _cli_import),
     # The two exhaustive searches of `hypertile verify` that are not tilings.
     "c4free-7": (CHECKERS, "experiments.four_cycle_free_max_edges(7)",
@@ -326,8 +364,8 @@ def measure(name: str, repeat: int) -> dict:
         # Counted before the timed runs, which also builds a row's cached inputs.
         nodes = _search_calls(run, CHECKER_NODES,
                               (experiments.__file__, invariants_module.__file__))
-    elif layer == TWINS:
-        run()                   # builds the host and its link table untimed
+    elif layer in PREPARED:
+        run()                   # builds the hosts, their link tables and the plan untimed
     best = None
     for _ in range(repeat):
         clock = _Clock()
@@ -347,7 +385,7 @@ def measure(name: str, repeat: int) -> dict:
                     "reference_s": reference}
             if layer == CHECKERS:
                 best["search_nodes"] = nodes
-            elif layer != TWINS:
+            elif layer not in (TWINS, COPY_SEARCH):
                 best["enumeration_s"] = round(clock.enumeration, 3)
             if layer == "tiling":
                 best["cover_s"] = round(clock.tiling - clock.enumeration, 3)
@@ -357,7 +395,7 @@ def measure(name: str, repeat: int) -> dict:
             best["answer"] = {k: v for k, v in answer.items() if k != "copies"}
             best["answer_sha256"] = hashlib.sha256(
                 json.dumps(answer, sort_keys=True).encode()).hexdigest()
-    if layer not in (CHECKERS, TWINS):
+    if layer not in (CHECKERS, *PREPARED):
         best["cover_calls"] = _search_calls(run)
     return {**best, **_package_meta()}
 

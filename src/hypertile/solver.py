@@ -19,7 +19,10 @@ first otherwise), the candidates for the next one are the free vertices
 ANDed with the host's link bitset of every (k-1)-set it closes, and twins
 and equal blocks (parts of equal size, leaf groups) take increasing images.
 Candidates are tried in increasing order, so embeddings come in
-lexicographic order, read in the placement order.  `contains_copy` returns
+lexicographic order, read in the placement order.  Each pattern's plan is
+compiled once into nested loops, one per position, and each link lookup
+sits at the depth where its (k-1)-set's last vertex lands, so it is made
+once for all the positions that close the set.  `contains_copy` returns
 the first one.  Copy-set enumeration runs the embedder to every solution
 and keeps each vertex set with the first embedding that reaches it as its
 witness, built when it is read, so a search that returns no copy builds
@@ -101,9 +104,9 @@ class CopySetEnumeration(NamedTuple):
 
 class _Plan(NamedTuple):
     order: tuple[int, ...]                # placement order of the pattern vertices
-    checks: tuple[tuple[VertexSet, ...], ...]  # per position: the (k-1)-sets it closes
     twin: tuple[int, ...]                 # per position: the earlier position whose image it
                                           # must exceed (a twin or an equal block), or -1
+    kernel: Callable[..., bool]           # the search, compiled (`_compile`)
 
 
 def _partite_parts(pattern: Hypergraph) -> tuple[VertexSet, ...] | None:
@@ -176,12 +179,7 @@ def _plan(pattern: Hypergraph) -> _Plan:
         order = core + tuple(v for g in blocks for v in g)
     else:
         order = _generic_order(pattern)
-    # An edge is checked once its last vertex (in placement order) lands.
     position = {v: i for i, v in enumerate(order)}
-    checks: list[list[VertexSet]] = [[] for _ in order]
-    for e in pattern.edges:
-        last = max(e, key=position.__getitem__)
-        checks[position[last]].append(tuple(u for u in e if u != last))
     # Increasing images within a twin class keep one embedding per copy, and
     # the lexicographically first one survives.
     classes = _twin_classes(pattern)
@@ -194,7 +192,83 @@ def _plan(pattern: Hypergraph) -> _Plan:
     for prev, block in zip(blocks, blocks[1:]):
         if len(prev) == len(block):
             twin[position[block[0]]] = position[prev[0]]
-    return _Plan(order, tuple(map(tuple, checks)), tuple(twin))
+    return _Plan(order, tuple(twin), _compile(order, pattern.edges, twin))
+
+
+# CPython nests at most 20 blocks statically in one function.
+_LOOPS_PER_KERNEL = 19
+
+
+def _compile(order: Sequence[int], edges: Sequence[VertexSet],
+             twin: Sequence[int]) -> Callable[..., bool]:
+    """The plan's search as nested loops, compiled once per plan:
+    `kernel(link, leaf, bits, everything)` runs `_place`'s search.  An edge
+    is checked at the position of its last vertex in `order`, which closes
+    the (k-1)-set of the others.
+
+    Each position p but the last has a `while` loop over its candidates
+    `c{p}`, taking the image bit `b{p}` and leaving the free mask `f{p+1}`.
+    The link of each (k-1)-set that a later position closes is looked up
+    once, in the loop of the set's own last position, and ANDed into that
+    later position's pending mask (`m{q}_{p}`, or the lookup `k{p}_{i}`
+    itself); an empty one moves to the next candidate at once.  Such a
+    candidate's subtree would be empty, so the embeddings and their order
+    are those of one position at a time.  The last position calls the leaf
+    inline.  One function holds at most _LOOPS_PER_KERNEL loops: the
+    innermost calls the next, `kernel{i}`, with the free mask, the placed
+    bits and the pending masks.  The source holds only integers from the
+    plan."""
+    where = {v: i for i, v in enumerate(order)}
+    closing: list[dict[tuple[int, ...], list[int]]] = [{} for _ in order]
+    for e in edges:
+        *at, q = sorted(where[v] for v in e)
+        closing[at[-1]].setdefault(tuple(at), []).append(q)
+    pending: dict[int, str] = {}                # position -> name of its pending mask
+    src = ["def kernel0(link, leaf, bits, everything):", "    f0 = everything"]
+    pad = "    "
+    for p, v in enumerate(order):
+        terms = [f"f{p}"]
+        if p in pending:
+            terms.append(pending.pop(p))
+        if twin[p] >= 0:
+            terms.append(f"-(b{twin[p]} << 1)")
+        src.append(f"{pad}c{p} = {' & '.join(terms)}")
+        if p == len(order) - 1:
+            src += [f"{pad}if c{p} and leaf(bits, everything ^ f{p}, c{p}):",
+                    f"{pad}    return True"]
+            break
+        src += [f"{pad}while c{p}:",
+                f"{pad}    b{p} = c{p} & -c{p}",
+                f"{pad}    c{p} ^= b{p}",
+                f"{pad}    bits[{v}] = b{p}",
+                f"{pad}    f{p + 1} = f{p} ^ b{p}"]
+        pad += "    "
+        for i, (at, targets) in enumerate(closing[p].items()):
+            found = f"k{p}_{i}"
+            src += [f"{pad}{found} = link({' | '.join(f'b{j}' for j in at)}, 0)",
+                    f"{pad}if not {found}:",
+                    f"{pad}    continue"]
+            for q in targets:
+                if q in pending:
+                    src += [f"{pad}m{q}_{p} = {pending[q]} & {found}",
+                            f"{pad}if not m{q}_{p}:",
+                            f"{pad}    continue"]
+                    pending[q] = f"m{q}_{p}"
+                else:
+                    pending[q] = found
+        if (p + 1) % _LOOPS_PER_KERNEL == 0 and p + 2 < len(order):
+            later = set(twin[p + 1:])           # the placed bits read past this call
+            for keys in closing[p + 1:]:
+                later.update(*keys)
+            carried = ", ".join([f"f{p + 1}", *(f"b{j}" for j in range(p + 1) if j in later),
+                                 *sorted(set(pending.values()))])
+            call = f"kernel{(p + 1) // _LOOPS_PER_KERNEL}(link, leaf, bits, everything, {carried})"
+            src += [f"{pad}if {call}:", f"{pad}    return True", "    return False", f"def {call}:"]
+            pad = "    "
+    src.append("    return False")
+    namespace: dict[str, Callable[..., bool]] = {}
+    exec(compile("\n".join(src), "<plan kernel>", "exec"), namespace)
+    return namespace["kernel0"]
 
 
 @lru_cache(maxsize=8)
@@ -275,37 +349,13 @@ def _place(host: Hypergraph, pattern: Hypergraph,
     `leaf(bits, used, candidates)` gets the placed images (1 << image per
     pattern vertex), their mask and the nonzero candidate mask of the last
     vertex; the search stops when it returns True.
+
+    The plan is compiled to nested loops, one per position (`_compile`),
+    and each link lookup sits in the loop where its (k-1)-set's last vertex
+    lands, so it is made once for every position that closes the set, and
+    an empty link ends the candidate there.
     """
-    plan = _plan(pattern)
-    link = _links(host).get
-    order, checks, twin = plan.order, plan.checks, plan.twin
-    bits = [0] * pattern.n                      # 1 << image, per placed vertex
-    everything = (1 << host.n) - 1
-    last = len(order) - 1
-
-    def place(pos: int, free: int) -> bool:
-        candidates = free
-        for others in checks[pos]:
-            key = 0
-            for u in others:
-                key |= bits[u]
-            candidates &= link(key, 0)
-            if not candidates:
-                return False
-        if twin[pos] >= 0:
-            candidates &= -(bits[order[twin[pos]]] << 1)
-        if pos == last:
-            return bool(candidates) and leaf(bits, everything ^ free, candidates)
-        fv = order[pos]
-        while candidates:
-            low = candidates & -candidates
-            bits[fv] = low
-            if place(pos + 1, free ^ low):
-                return True
-            candidates ^= low
-        return False
-
-    place(0, everything)
+    _plan(pattern).kernel(_links(host).get, leaf, [0] * pattern.n, (1 << host.n) - 1)
 
 
 def contains_copy(host: Hypergraph, pattern: Hypergraph) -> Embedding | None:
@@ -433,7 +483,8 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
     `live` is exactly the sets inside `uncovered`: a node's outcome depends
     on `uncovered` alone.  So an option that leaves t vertices is not
     searched: the only t-set inside them is the set of them, and `index`
-    (mask to set index) says whether it is a candidate.
+    (mask to set index) says whether it is a candidate.  A target of t
+    vertices is decided by the same lookup, with no node.
 
     `classes` are vertex masks of twin classes of the host whose copy sets
     the sets are (`_twin_classes`): a permutation inside them maps the sets
@@ -447,6 +498,9 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
     leaves more than t vertices is skipped, before its child's `live` is
     built, when the child's key is in `dead`.  This prunes only failing
     subtrees and keeps the branch order."""
+    t = len(sets[0]) if sets else 0
+    if target and target.bit_count() == t:
+        return [index[target]] if target in index else None
     chosen: list[int] = []
     dead: set[int] = set()
     units = _profile_units(len(cols), classes)
@@ -456,7 +510,6 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
         def key(ci: int) -> int:
             return sum(map(units.__getitem__, sets[ci]))
         state = sum(u for v, u in enumerate(units) if target >> v & 1)
-    t = len(sets[0]) if sets else 0
     live = (1 << len(sets)) - 1
     for v, col in enumerate(cols):
         if not target >> v & 1:

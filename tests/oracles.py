@@ -205,6 +205,22 @@ def first_copy(n: int, host_edges, pat_edges, order):
     return None
 
 
+def ordered_embeddings(n: int, host_edges, pat_edges, order, twin):
+    """Every injective map of the pattern into range(n) that keeps each
+    pattern edge a host edge and puts the image of order[p] above that of
+    order[twin[p]] wherever twin[p] >= 0, in lexicographic order read in
+    `order`: images[v] per pattern vertex v."""
+    eset = {frozenset(e) for e in host_edges}
+    found = []
+    for perm in itertools.permutations(range(n), len(order)):
+        if any(t >= 0 and perm[p] < perm[t] for p, t in enumerate(twin)):
+            continue
+        images = dict(zip(order, perm))
+        if all(frozenset(images[v] for v in e) in eset for e in pat_edges):
+            found.append(tuple(images[v] for v in range(len(order))))
+    return found
+
+
 def twin_classes(n: int, edges) -> list[int]:
     """Vertex masks of the twin classes, by smallest vertex: the class of u
     is u and every v such that swapping u and v in every edge gives back

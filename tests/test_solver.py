@@ -547,6 +547,76 @@ def test_plan_twins_follow_the_oracle_rule(pattern):
     assert solver._plan(pattern).twin == _oracle_twin_rule(pattern)
 
 
+def _reached(host, pattern):
+    """Every embedding `_place` reaches, in its order."""
+    last = solver._plan(pattern).order[-1]
+    reached = []
+
+    def leaf(bits, used, candidates):
+        while candidates:
+            bits[last] = candidates & -candidates
+            reached.append(tuple(b.bit_length() - 1 for b in bits))
+            candidates &= candidates - 1
+        return False
+
+    solver._place(host, pattern, leaf)
+    return reached
+
+
+@settings(max_examples=100)
+@example(K122, 1, 1.0, 0)
+@example(k_st(3, 2, 3).graph, 0, 0.9, 1)
+@given(pattern=blow_ups(max_n=6) | hypergraphs(k=2, max_n=6) | hypergraphs(max_n=6)
+       | hypergraphs(k=4, max_n=6),
+       extra=st.integers(0, 2), p=st.sampled_from((0.5, 0.8, 1.0)),
+       seed=st.integers(0, 2 ** 16))
+def test_random_patterns_match_the_oracles(pattern, extra, p, seed):
+    # the compiled search reaches the oracle's embeddings, in its order, so
+    # the copy sets, their witnesses and the first copy follow
+    plan = solver._plan(pattern)
+    host = _random_host(pattern.k, min(pattern.n + extra, 7), p, seed)
+    assert _reached(host, pattern) == oracles.ordered_embeddings(
+        host.n, host.edges, pattern.edges, plan.order, plan.twin)
+    enum = enumerate_copy_sets(host, pattern)
+    sets, witnesses = oracles.copy_sets_by_scan(
+        host.n, host.edges, pattern.n, pattern.edges, plan.order)
+    assert enum.sets == sets
+    assert {vs: w.images for vs, w in enum.witnesses.items()} == witnesses
+    emb = contains_copy(host, pattern)
+    assert (None if emb is None else emb.images) == oracles.first_copy(
+        host.n, host.edges, pattern.edges, plan.order)
+
+
+EIGHT_TRIPLES = build(3, 24, [(i, i + 1, i + 2) for i in range(0, 24, 3)])
+K777 = complete_k_partite((7, 7, 7)).graph
+
+
+def _shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build(g.k, g.n, [[perm[v] for v in e] for e in g.edges])
+
+
+# (pattern, host, copy, copy sets): past 19 positions the search goes on in
+# a second compiled function; the answers are those of the interpreted
+# search it replaced
+DEEP_CASES = [
+    (EIGHT_TRIPLES, _shuffled(EIGHT_TRIPLES, 1),
+     (0, 6, 7, 1, 16, 19, 2, 4, 18, 3, 8, 15, 5, 9, 10, 11, 20, 23, 12, 14, 22, 13, 17, 21),
+     1),
+    (K777, K777, tuple(range(21)), 1),
+]
+
+
+@pytest.mark.parametrize("pattern, host, copy, count", DEEP_CASES,
+                         ids=["eight-triples", "k777"])
+def test_plans_past_the_nesting_limit(pattern, host, copy, count):
+    assert contains_copy(host, pattern).images == copy
+    enum = enumerate_copy_sets(host, pattern)
+    assert len(enum.sets) == count
+    assert enum.witnesses[enum.sets[0]].images == copy
+
+
 @st.composite
 def blow_up_covers(draw):
     """(g, pattern, target): a 3-graph blow-up, a pattern and a vertex mask,
@@ -600,6 +670,8 @@ def targeted_systems(draw):
 
 @settings(max_examples=300)
 @example((4, [(0, 1), (2, 3)], 0))                    # empty target
+@example((4, [(0, 1), (2, 3)], 0b1100))               # a target of t vertices
+@example((4, [(0, 1), (2, 3)], 0b0110))               # ... that is no set
 @example((4, [(0, 1), (1, 2)], 0b1011))               # vertex 3 in no candidate
 # the four inside vertices tie only once the sets through vertex 4 are dead
 @example((5, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (2, 3)], 0b1111))

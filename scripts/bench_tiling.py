@@ -15,10 +15,11 @@ time inside `has_perfect_tiling` and `max_tiling` minus the enumeration they
 run); probe rows add the number of enumerations and of `has_perfect_tiling`
 calls. The split comes from wrappers on the package's public functions, so
 the script runs unchanged against any revision with the same public API.
-Tiling and probe rows also give `cover_calls`: the calls of the exact
-cover's and the max packing's inner searches (`cover` and `search` in
-`solver.py`), counted with `sys.setprofile` in one extra run that is not
-timed, so a speed-up reads as fewer nodes or as cheaper ones.
+Tiling and probe rows also give `cover_calls`: the nodes of the exact
+cover, which calls `options_at` in `solver.py` once per node, counted with
+`sys.setprofile` in one extra run that is not timed, so a speed-up reads as
+fewer nodes or as cheaper ones.  The max packing runs as one loop with no
+call per node, so its nodes are not counted: `planted20-max` reads 0.
 The "verify checkers" rows time two searches of `hypertile verify` and
 give `search_nodes` in place of the split: the calls of `place` (the C4-free
 branch and bound in `experiments.py`) and `assign` (the realisation search
@@ -318,7 +319,7 @@ def _package_meta() -> dict:
     return {"src_lines": lines, "git_revision": revision}
 
 
-SEARCHES = ("cover", "search")
+SEARCHES = ("options_at",)
 # The node functions of the verify checkers: the C4-free branch and bound
 # and the realisation search.
 CHECKER_NODES = ("place", "assign")

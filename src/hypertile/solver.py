@@ -42,13 +42,15 @@ a node's outcome depends only on its profile, the number of uncovered
 vertices in each class: a failed profile is remembered, and a choice whose
 remaining vertices have a failed profile is skipped before its node is
 built.  Only failing subtrees are cut, so the branch order and the first
-cover are unchanged.
+cover are unchanged.  Both searches are one loop over an explicit stack
+with a frame per open ancestor (its state, the options it has still to try
+and the set it chose), so how deep they go is bounded by the host, not by
+the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Mapping
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -493,15 +495,16 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
     key: the packed profile (`_profile_units`) when some class has two
     vertices or more, else (no classes given, or all single) the mask
     itself.  A set's key, the sum of its vertices' units, is subtracted to
-    reach the child's.  A node whose
-    options have all failed puts its key in `dead`, and an option that
-    leaves more than t vertices is skipped, before its child's `live` is
-    built, when the child's key is in `dead`.  This prunes only failing
-    subtrees and keeps the branch order."""
+    reach the child's.  A node that fails, on a vertex with no live
+    candidate or once all its options have failed, puts its key in `dead`,
+    and an option that leaves more than t vertices is skipped, before its
+    child's `live` is built, when the child's key is in `dead`.  This
+    prunes only failing subtrees and keeps the branch order."""
     t = len(sets[0]) if sets else 0
-    if target and target.bit_count() == t:
+    if not target:
+        return []
+    if target.bit_count() == t:
         return [index[target]] if target in index else None
-    chosen: list[int] = []
     dead: set[int] = set()
     units = _profile_units(len(cols), classes)
     if units is None:
@@ -515,9 +518,9 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
         if not target >> v & 1:
             live ^= live & col
 
-    def cover(uncovered: int, state: int, live: int) -> bool:
-        if uncovered == 0:
-            return True
+    def options_at(uncovered: int, live: int) -> int:
+        """The live sets through the uncovered vertex with the fewest, or 0
+        when some uncovered vertex has none."""
         best, best_count = -1, len(sets) + 1
         scan = uncovered
         while scan:
@@ -525,68 +528,79 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
             scan &= scan - 1
             count = (live & cols[v]).bit_count()
             if count == 0:
-                return False
+                return 0
             if count < best_count:
                 best, best_count = v, count
-        options = live & cols[best]
-        while options:
+        return live & cols[best]
+
+    # One frame per open ancestor: its uncovered mask, key, live sets,
+    # options still to try, and the set it chose.
+    stack: list[tuple[int, int, int, int, int]] = []
+    uncovered, options = target, options_at(target, live)
+    while True:
+        if options:
             low = options & -options
+            options ^= low
             ci = low.bit_length() - 1
             rest = uncovered ^ masks[ci]
             if rest.bit_count() == t:
                 if rest in index:
-                    chosen.extend((ci, index[rest]))
-                    return True
+                    return [frame[4] for frame in stack] + [ci, index[rest]]
             elif (after := state - key(ci)) not in dead:
                 touching = 0
                 for u in sets[ci]:
                     touching |= cols[u]
-                chosen.append(ci)
-                if cover(rest, after, live ^ (live & touching)):
-                    return True
-                chosen.pop()
-            options ^= low
-        dead.add(state)
-        return False
-
-    if cover(target, state, live):
-        return chosen
-    return None
+                stack.append((uncovered, state, live, options, ci))
+                uncovered, state, live = rest, after, live ^ (live & touching)
+                options = options_at(rest, live)
+        else:
+            dead.add(state)
+            if not stack:
+                return None
+            uncovered, state, live, options, _ = stack.pop()
 
 
 def _max_packing_first(sets: Sequence[VertexSet], masks: Sequence[int],
                        cols: Sequence[int], t: int) -> list[int]:
     """Largest disjoint family of the t-sets, by branch and bound on the
     smallest available vertex: each live candidate through it in ascending
-    index order, then leaving it uncovered, as the next pass of a loop, so
-    the search nests once per chosen copy.  A node is cut when covering
+    index order, then leaving it uncovered.  A node is cut when covering
     every available vertex could not beat the incumbent, which also ends
     the search when nothing is available."""
     best: list[int] = []
-    current: list[int] = []
-
-    def search(available: int, live: int) -> None:
-        nonlocal best
-        if len(current) > len(best):
-            best = list(current)
-        while len(current) + available.bit_count() // t > len(best):
-            v = (available & -available).bit_length() - 1
-            through = options = live & cols[v]
-            while options:
-                low = options & -options
-                ci = low.bit_length() - 1
-                touching = 0
-                for u in sets[ci]:
-                    touching |= cols[u]
-                current.append(ci)
-                search(available ^ masks[ci], live ^ (live & touching))
-                current.pop()
-                options ^= low
-            available ^= 1 << v
-            live ^= through
-
-    search((1 << len(cols)) - 1, (1 << len(sets)) - 1)
-    return best
+    # One frame per open ancestor: its available vertices and live sets, the
+    # options still to try at its branch vertex, the set it chose, and the
+    # branch vertex's bit and live sets, cleared when it is left uncovered.
+    # The root has no branch vertex yet, so its first clearing does nothing.
+    stack: list[tuple[int, int, int, int, int, int]] = []
+    available, live = (1 << len(cols)) - 1, (1 << len(sets)) - 1
+    bit = through = options = 0
+    while True:
+        while options:
+            low = options & -options
+            options ^= low
+            ci = low.bit_length() - 1
+            touching = 0
+            for u in sets[ci]:
+                touching |= cols[u]
+            rest = available ^ masks[ci]
+            depth = len(stack) + 1
+            if depth > len(best):
+                best = [frame[3] for frame in stack] + [ci]
+            if depth + rest.bit_count() // t > len(best):
+                stack.append((available, live, options, ci, bit, through))
+                available, live = rest, live ^ (live & touching)
+                bit = available & -available
+                through = options = live & cols[bit.bit_length() - 1]
+        available ^= bit
+        live ^= through
+        if len(stack) + available.bit_count() // t > len(best):
+            bit = available & -available
+            through = options = live & cols[bit.bit_length() - 1]
+        elif stack:
+            available, live, options, _, bit, through = stack.pop()
+        else:
+            return best
 
 
 def _candidate_tables(n: int, sets: Sequence[VertexSet]
@@ -602,20 +616,12 @@ def _candidate_tables(n: int, sets: Sequence[VertexSet]
     return masks, [int.from_bytes(c, "little") for c in cols], index
 
 
-def _too_deep(host: Hypergraph, pattern: Hypergraph) -> ValidationError:
-    return ValidationError(
-        f"search too deep for n/t = {host.n}/{pattern.n}: it nests past the "
-        f"interpreter's recursion limit of {sys.getrecursionlimit()}")
-
-
 def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
                        budget: int | None = None) -> TilingOutcome:
     """Perfect-tiling search: certificate, or a verified-exhaustive none.
 
     A host order not divisible by the pattern order is reported as none
-    with the distinguished divisibility reason, without any search.  The
-    cover recurses once per chosen copy; a search that nests past the
-    interpreter's recursion limit raises ValidationError.
+    with the distinguished divisibility reason, without any search.
     """
     _check_pair(host, pattern)
     if pattern.n == 0:
@@ -623,11 +629,8 @@ def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
     if host.n % pattern.n != 0:
         return TilingOutcome(None, REASON_DIVISIBILITY)
     enum = enumerate_copy_sets(host, pattern, budget=budget)
-    try:
-        solution = _exact_cover_first(enum.sets, *_candidate_tables(host.n, enum.sets),
-                                      (1 << host.n) - 1, _twin_classes(host))
-    except RecursionError:
-        raise _too_deep(host, pattern) from None
+    solution = _exact_cover_first(enum.sets, *_candidate_tables(host.n, enum.sets),
+                                  (1 << host.n) - 1, _twin_classes(host))
     if solution is None:
         return TilingOutcome(None, REASON_EXHAUSTED)
     embeddings = tuple(enum.witnesses[enum.sets[ci]] for ci in solution)
@@ -637,15 +640,10 @@ def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
 def max_tiling(host: Hypergraph, pattern: Hypergraph,
                budget: int | None = None) -> tuple[int, TilingCertificate]:
     """Largest vertex-disjoint family of pattern copies, by branch and bound
-    over the copy sets (see `_max_packing_first`).  The packing recurses once
-    per chosen copy; a search that nests past the interpreter's recursion
-    limit raises ValidationError."""
+    over the copy sets (see `_max_packing_first`)."""
     enum = enumerate_copy_sets(host, pattern, budget=budget)
     masks, cols, _ = _candidate_tables(host.n, enum.sets)
-    try:
-        best = _max_packing_first(enum.sets, masks, cols, pattern.n)
-    except RecursionError:
-        raise _too_deep(host, pattern) from None
+    best = _max_packing_first(enum.sets, masks, cols, pattern.n)
     embeddings = tuple(enum.witnesses[enum.sets[ci]] for ci in best)
     covered = vertex_set(v for ci in best for v in enum.sets[ci])
     return len(best), TilingCertificate(embeddings, covered)

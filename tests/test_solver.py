@@ -370,9 +370,9 @@ def _calls(run, name):
 
 
 def _cover_calls(run):
-    """run()'s result and the number of calls of the cover's inner search
-    (`cover` in solver.py) that it made."""
-    result, states = _calls(run, "cover")
+    """run()'s result and the number of nodes of the exact cover that it
+    made: calls of `options_at` in solver.py, once per node."""
+    result, states = _calls(run, "options_at")
     return result, len(states)
 
 
@@ -396,7 +396,7 @@ def test_exact_cover_meets_a_failed_state_again_before_its_cover():
     # takes 8 calls, searching it again 9.
     got, states = _calls(
         lambda: _exact_cover_first(sets, *_candidate_tables(10, sets), (1 << 10) - 1),
-        "cover")
+        "options_at")
     assert got == oracles.first_cover(10, sets) == [9, 2, 5, 7, 11]
     assert states.count(0b1111010010) == 1
     assert len(states) == 7
@@ -414,7 +414,7 @@ def _barrier_cover(a, b, pattern, twins):
 
 def test_exact_cover_searches_each_failed_state_once():
     # barrier(8, 7) has no K(1,1,1)-factor.  Keyed by the profile over its
-    # two twin classes the cover takes 20 calls; keyed by raw mask, 1,289.
+    # two twin classes the cover takes 9 nodes; keyed by raw mask, 905.
     out, calls = _cover_calls(lambda: has_perfect_tiling(barrier_graph(8, 7).graph, K111))
     assert out.reason == "exhausted"
     assert calls <= 25
@@ -422,7 +422,7 @@ def test_exact_cover_searches_each_failed_state_once():
 
 def test_exact_cover_decides_the_last_copy_by_lookup():
     # barrier(9, 9) has no K(2,2,2)-factor.  With the options that leave 6
-    # vertices looked up, not searched, the cover takes 1,065 calls keyed by
+    # vertices looked up, not searched, the cover takes 1,065 nodes keyed by
     # raw mask and 3 keyed by twin-class profile.
     out, calls = _cover_calls(lambda: has_perfect_tiling(barrier_graph(9, 9).graph, K222))
     assert out.reason == "exhausted"
@@ -430,7 +430,7 @@ def test_exact_cover_decides_the_last_copy_by_lookup():
 
 
 @pytest.mark.parametrize("a, b, pattern, bound", [
-    (8, 7, K111, 1300),      # 1,289 measured
+    (8, 7, K111, 1300),      # 905 measured
     (9, 9, K222, 1100),      # 1,065 measured
 ], ids=["barrier87-k111", "barrier99-k222"])
 def test_exact_cover_by_raw_mask_skips_failed_states(a, b, pattern, bound):
@@ -441,8 +441,8 @@ def test_exact_cover_by_raw_mask_skips_failed_states(a, b, pattern, bound):
 
 
 def test_exact_cover_by_twin_profile_ends_the_n24_barrier():
-    # barrier(13, 11) with K(2,2,2): 360 calls keyed by the profile over its
-    # two twin classes, 1,547,965 keyed by raw mask
+    # barrier(13, 11) with K(2,2,2): 6 nodes keyed by the profile over its
+    # two twin classes, 166,299 keyed by raw mask
     got, calls = _barrier_cover(13, 11, K222, twins=True)
     assert got is None
     assert calls <= 400
@@ -688,7 +688,7 @@ def test_targeted_cover_is_the_oracle_cover_of_the_subsystem(system):
 
 @settings(max_examples=300)
 @_with_examples
-@given(set_systems())
+@given(COVER_SYSTEMS)
 def test_max_packing_matches_the_oracle_rule(system):
     n, t, sets = system
     masks, cols, _ = _candidate_tables(n, sets)
@@ -770,16 +770,15 @@ def test_tiling_budget():
         has_perfect_tiling(B75, K222, budget=5)
 
 
-def test_too_deep_search_is_an_input_error():
-    # the cover nests once per chosen copy, the packing at least as deep:
-    # a perfect matching with more edges than the recursion limit
-    copies = sys.getrecursionlimit() + 50
+def test_tiling_searches_go_past_the_recursion_limit():
+    # the cover and the packing keep their own stacks: a perfect matching
+    # with more edges than the default recursion limit of 1000 tiles by both
+    copies = 1050
     host = build(2, 2 * copies, [(2 * j, 2 * j + 1) for j in range(copies)])
     edge = build(2, 2, [(0, 1)])
-    for search in (has_perfect_tiling, max_tiling):
-        with pytest.raises(ValidationError) as info:
-            search(host, edge, budget=math.comb(host.n, 2))
-        assert str(info.value) == (
-            f"search too deep for n/t = {host.n}/2: it nests past the interpreter's "
-            f"recursion limit of {sys.getrecursionlimit()}")
-        assert info.value.__suppress_context__
+    budget = math.comb(host.n, 2)
+    out = has_perfect_tiling(host, edge, budget=budget)
+    size, cert = max_tiling(host, edge, budget=budget)
+    assert size == len(out.certificate.embeddings) == copies
+    assert verify_certificate(host, edge, out.certificate, require_perfect=True)
+    assert verify_certificate(host, edge, cert, require_perfect=True)

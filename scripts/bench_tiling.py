@@ -29,12 +29,15 @@ The "twin classes" row times the host twin-class search alone
 (`solver._twin_classes`) and has no split; one untimed run before the timed
 ones builds the host and the solver's link table for it (`solver._links`),
 which the search reads.  Its answer is the class sizes.
-The "copy search" row times one `contains_copy` and the "enumeration" row
+The "copy search" row times one `contains_copy` and the "enumeration" rows
 the copy-set enumerations of the barrier-parity claim of `hypertile
-verify`; an untimed run before the timed ones builds their hosts and
-compiles the pattern's plan.  The copy search reuses the host's link table
-from that run; the 60 parity hosts outnumber the link tables the solver
-keeps, so each enumeration builds its own.
+verify` and of K(7,7,7) in itself; an untimed run before the timed ones
+builds their hosts and compiles the pattern's plan.  The copy search
+reuses the host's link table from that run; the 60 parity hosts outnumber
+the link tables the solver keeps, so each enumeration builds its own.
+The "plan" row times one `contains_copy` with the solver's plan cache
+emptied before each run, so it counts the pattern's analysis and compile
+(`solver._plan`) with the search; it has no split and runs no cover.
 The `cli-import` row is the exception: `total_s` is the median wall time of
 21 fresh `python -c "import hypertile.cli"` processes, started in the
 caller's environment, and its answer is the list of `hypertile` modules that
@@ -200,6 +203,11 @@ def _parity_sets(hosts):
             "copy_sets": sum(len(solver.enumerate_copy_sets(h, KST322).sets) for h in hosts)}
 
 
+def _fresh_plan_copy(host, pattern):
+    solver._plan.cache_clear()
+    return {"copy": solver.contains_copy(host, pattern)}
+
+
 def _twin_class_sizes(host):
     return {"class_sizes": [c.bit_count() for c in solver._twin_classes(host)]}
 
@@ -215,13 +223,18 @@ CHECKERS = "verify checkers"
 TWINS = "twin classes"
 COPY_SEARCH = "copy search"
 ENUMERATION = "enumeration"
+PLAN = "plan"
 # layers whose inputs an untimed run builds first, and that run no cover
 PREPARED = (TWINS, COPY_SEARCH, ENUMERATION)
 K222 = complete_k_partite((2, 2, 2)).graph
 K111 = complete_k_partite((1, 1, 1)).graph
 K112 = complete_k_partite((1, 1, 2)).graph
 K122 = complete_k_partite((1, 2, 2)).graph
+K666 = complete_k_partite((6, 6, 6)).graph
+K777 = complete_k_partite((7, 7, 7)).graph
 KST322 = k_st(3, 2, 2).graph
+# one edge and eleven isolated vertices
+SPARSE14 = build(3, 14, [(0, 1, 2)])
 RANDOM14 = "random n=14 p=0.5 seed 0"
 DENSE100 = "random n=100 p=0.5 seed 0"
 SPARSE100 = "random n=100 p=0.002 seed 0"
@@ -278,6 +291,13 @@ ROWS = {
     "parity-kst322": (ENUMERATION, "enumerate_copy_sets(barrier_graph(a, b), k_st(3, 2, 2))"
                                    " over the barrier-parity claim's 60 hosts",
                       lambda: _parity_sets(_parity_hosts())),
+    # The paper's K^3(m): 21 positions, one copy set.
+    "k777-self": (ENUMERATION, "enumerate_copy_sets(complete_k_partite((7, 7, 7)), complete_k_partite((7, 7, 7)))",
+                  lambda: {"copy_sets": len(solver.enumerate_copy_sets(K777, K777).sets)}),
+    # A 14-vertex pattern with 3^11 realisations, none of them complete partite.
+    "plan-sparse14": (PLAN, "contains_copy(complete_k_partite((6, 6, 6)), build(3, 14, [(0, 1, 2)]))"
+                            " with an empty plan cache",
+                      lambda: _fresh_plan_copy(K666, SPARSE14)),
     "cli-import": ("import", 'python -c "import hypertile.cli"', _cli_import),
     # The two exhaustive searches of `hypertile verify` that are not tilings.
     "c4free-7": (CHECKERS, "experiments.four_cycle_free_max_edges(7)",
@@ -386,7 +406,7 @@ def measure(name: str, repeat: int) -> dict:
                     "reference_s": reference}
             if layer == CHECKERS:
                 best["search_nodes"] = nodes
-            elif layer not in (TWINS, COPY_SEARCH):
+            elif layer not in (TWINS, COPY_SEARCH, PLAN):
                 best["enumeration_s"] = round(clock.enumeration, 3)
             if layer == "tiling":
                 best["cover_s"] = round(clock.tiling - clock.enumeration, 3)
@@ -396,7 +416,7 @@ def measure(name: str, repeat: int) -> dict:
             best["answer"] = {k: v for k, v in answer.items() if k != "copies"}
             best["answer_sha256"] = hashlib.sha256(
                 json.dumps(answer, sort_keys=True).encode()).hexdigest()
-    if layer not in (CHECKERS, *PREPARED):
+    if layer not in (CHECKERS, PLAN, *PREPARED):
         best["cover_calls"] = _search_calls(run)
     return {**best, **_package_meta()}
 

@@ -17,6 +17,10 @@ from typing import NamedTuple
 from .core import Hypergraph, Partition
 from .errors import NotKPartiteError, ValidationError
 
+# The realisation search is exponential in the pattern's order, so
+# `realisations`, `invariants` and `mycroft_threshold` refuse patterns above
+# this size.  Copy search and tiling do not read realisations: their plans
+# take patterns of any size.
 MAX_PATTERN_VERTICES = 14
 
 

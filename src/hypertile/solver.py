@@ -58,7 +58,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .budget import charge
 from .core import Hypergraph, Partition, VertexSet, vertex_set
 from .errors import ValidationError
-from .invariants import MAX_PATTERN_VERTICES, realisations
 
 
 class Embedding(NamedTuple):
@@ -112,16 +111,25 @@ class _Plan(NamedTuple):
 
 
 def _partite_parts(pattern: Hypergraph) -> tuple[VertexSet, ...] | None:
-    """Parts of the pattern if it is complete k-partite, else None."""
-    if pattern.edge_count == 0 or pattern.n > MAX_PATTERN_VERTICES:
+    """Parts of the pattern if it is complete k-partite, else None.
+
+    In a complete partite pattern two vertices share a part exactly when no
+    edge holds both, so each vertex's part is itself and the vertices it
+    never meets.  An edge's k vertices have k distinct parts, so when there
+    are exactly k, each vertex lies in just one of them (a vertex in two
+    would put both owners in its own part), and every edge is a transversal:
+    equal counts then make the edges all the transversals.  An isolated
+    vertex's part is every vertex, one too many."""
+    near = [0] * pattern.n                      # per vertex: the vertices of its edges
+    for e in pattern.edges:
+        full = sum(1 << v for v in e)
+        for v in e:
+            near[v] |= full
+    parts = {tuple(u for u in range(pattern.n) if u == v or not near[v] >> u & 1)
+             for v in range(pattern.n)}
+    if len(parts) != pattern.k or math.prod(map(len, parts)) != pattern.edge_count:
         return None
-    for r in realisations(pattern):
-        product = math.prod(r.sizes)
-        if product == pattern.edge_count:
-            # Every edge is a transversal of every realisation, so equal
-            # counts force the edge set to be all transversals of r.
-            return tuple(sorted(r.parts, key=lambda p: (len(p), p)))
-    return None
+    return tuple(sorted(parts, key=lambda p: (len(p), p)))
 
 
 def _kst_shape(pattern: Hypergraph) -> tuple[VertexSet, tuple[VertexSet, ...]] | None:
@@ -442,8 +450,6 @@ def enumerate_copy_sets(host: Hypergraph, pattern: Hypergraph,
     _check_pair(host, pattern)
     if pattern.n == 0:
         raise ValidationError("pattern has no vertices")
-    if pattern.n > host.n:
-        return CopySetEnumeration((), {})
     charge(math.comb(host.n, pattern.n), budget, "copy-set enumeration")
     first = dict(sorted((tuple(sorted(images)), images)
                         for images in _copy_masks(host, pattern).values()))

@@ -1,11 +1,34 @@
 import itertools
+import signal
 
+import pytest
 from hypothesis import settings, strategies as st
 
 from hypertile import build
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+TEST_SECONDS = 120
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError(f"test ran past {TEST_SECONDS} s")
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TEST_SECONDS instead of hanging the suite.
+    The alarm fires again every second after that, so a search that
+    swallows the first one (a hypothesis shrink, say) is stopped too."""
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS, 1)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # (number, passed, detail) tuples appended by the acceptance tests; echoed
 # as one line per criterion in the terminal summary.

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -72,6 +73,9 @@ def test_enumerate_copy_sets_fixtures():
 
     assert len(enumerate_copy_sets(B75, K222).sets) == 112
     assert len(enumerate_copy_sets(B75, C4).sets) == 462
+
+    # a pattern larger than the host: no sets, from C(3, 6) = 0 subsets
+    assert enumerate_copy_sets(EDGE, K222, budget=1) == ((), {})
 
 
 def test_enumerate_copy_sets_witnesses_verify():
@@ -196,7 +200,7 @@ def test_perfect_tiling_divisibility_short_circuit():
 
 
 def test_perfect_tiling_of_the_empty_host_is_the_empty_cover():
-    # nothing is enumerated, so nothing is charged to the budget
+    # no copy fits, and the C(0, 3) = 0 subsets charged fit any budget
     out = has_perfect_tiling(build(3, 0, []), EDGE, budget=1)
     assert out == (TilingCertificate((), ()), "found")
 
@@ -417,7 +421,7 @@ def test_exact_cover_searches_each_failed_state_once():
     # two twin classes the cover takes 9 nodes; keyed by raw mask, 905.
     out, calls = _cover_calls(lambda: has_perfect_tiling(barrier_graph(8, 7).graph, K111))
     assert out.reason == "exhausted"
-    assert calls <= 25
+    assert calls <= 9
 
 
 def test_exact_cover_decides_the_last_copy_by_lookup():
@@ -426,11 +430,11 @@ def test_exact_cover_decides_the_last_copy_by_lookup():
     # raw mask and 3 keyed by twin-class profile.
     out, calls = _cover_calls(lambda: has_perfect_tiling(barrier_graph(9, 9).graph, K222))
     assert out.reason == "exhausted"
-    assert calls <= 5
+    assert calls <= 3
 
 
 @pytest.mark.parametrize("a, b, pattern, bound", [
-    (8, 7, K111, 1300),      # 905 measured
+    (8, 7, K111, 995),       # 905 measured
     (9, 9, K222, 1100),      # 1,065 measured
 ], ids=["barrier87-k111", "barrier99-k222"])
 def test_exact_cover_by_raw_mask_skips_failed_states(a, b, pattern, bound):
@@ -445,7 +449,7 @@ def test_exact_cover_by_twin_profile_ends_the_n24_barrier():
     # two twin classes, 166,299 keyed by raw mask
     got, calls = _barrier_cover(13, 11, K222, twins=True)
     assert got is None
-    assert calls <= 400
+    assert calls <= 6
 
 
 @pytest.mark.parametrize("host, found, built", [
@@ -545,6 +549,71 @@ def _oracle_twin_rule(pattern):
        | hypergraphs(k=4, max_n=7))
 def test_plan_twins_follow_the_oracle_rule(pattern):
     assert solver._plan(pattern).twin == _oracle_twin_rule(pattern)
+
+
+def _oracle_partite_parts(pattern):
+    """The classes of the realisation (a proper coloring by k nonempty
+    classes) whose sizes multiply to the edge count, sorted by size, then
+    vertices; None when there is none."""
+    for classes in oracles.partitions_by_coloring(pattern.n, pattern.k, pattern.edges):
+        if math.prod(map(len, classes)) == pattern.edge_count:
+            return tuple(sorted(classes, key=lambda p: (len(p), p)))
+    return None
+
+
+@st.composite
+def partite_patterns(draw, max_n=7):
+    """A complete k-partite pattern on shuffled vertices, half the time with
+    one edge dropped."""
+    k = draw(st.integers(2, 4))
+    sizes = []
+    for i in range(k):
+        sizes.append(draw(st.integers(1, max_n - sum(sizes) - (k - 1 - i))))
+    g = complete_k_partite(sizes).graph
+    perm = draw(st.permutations(range(g.n)))
+    edges = [[perm[v] for v in e] for e in g.edges]
+    if draw(st.booleans()):
+        del edges[draw(st.integers(0, len(edges) - 1))]
+    return build(k, g.n, edges)
+
+
+# one edge and eleven isolated vertices: 3^11 realisations, none complete
+SPARSE14 = build(3, 14, [(0, 1, 2)])
+
+
+@settings(max_examples=150)
+# no edge holds 4 with 2 or with 3, but some hold 2 and 3, so the vertices'
+# parts overlap: six distinct ones, with sizes multiplying to the 12 edges
+@example(build(3, 6, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5),
+                      (0, 3, 5), (0, 4, 5), (1, 2, 3), (1, 2, 5), (1, 3, 5), (1, 4, 5)]))
+@example(K222)
+@example(build(3, 6, K222.edges[1:]))         # the same parts, one edge short
+@example(build(3, 4, [(0, 1, 2)]))            # an isolated vertex
+@example(build(3, 3, []))
+@given(blow_ups(max_n=7) | hypergraphs(k=2, max_n=7) | hypergraphs(max_n=7)
+       | hypergraphs(k=4, max_n=7) | partite_patterns())
+def test_partite_parts_match_the_coloring_oracle(pattern):
+    assert solver._partite_parts(pattern) == _oracle_partite_parts(pattern)
+
+
+def test_partite_parts_past_the_realisation_cap():
+    assert solver._partite_parts(complete_k_partite((3, 5, 7)).graph) == (
+        (0, 1, 2), (3, 4, 5, 6, 7), (8, 9, 10, 11, 12, 13, 14))
+    assert solver._partite_parts(complete_k_partite((5, 5, 5)).graph) == (
+        (0, 1, 2, 3, 4), (5, 6, 7, 8, 9), (10, 11, 12, 13, 14))
+    assert solver._partite_parts(SPARSE14) is None
+
+
+def test_plans_run_no_realisation_search(monkeypatch):
+    def refuse(pattern):
+        raise AssertionError("a plan listed realisations")
+
+    # the package exports a function named `invariants`, so fetch the module
+    monkeypatch.setattr(importlib.import_module("hypertile.invariants"), "_class_masks", refuse)
+    for pattern in (K222, C4, TIGHT_PATH, SPARSE14, complete_k_partite((3, 5, 7)).graph):
+        assert solver._plan.__wrapped__(pattern).order
+    assert contains_copy(complete_k_partite((6, 6, 6)).graph, SPARSE14).images == (
+        0, 6, 12, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13)
 
 
 def _reached(host, pattern):

@@ -31,10 +31,11 @@ ones builds the host and the solver's link table for it (`solver._links`),
 which the search reads.  Its answer is the class sizes.
 The "copy search" row times one `contains_copy` and the "enumeration" rows
 the copy-set enumerations of the barrier-parity claim of `hypertile
-verify` and of K(7,7,7) in itself; an untimed run before the timed ones
-builds their hosts and compiles the pattern's plan.  The copy search
-reuses the host's link table from that run; the 60 parity hosts outnumber
-the link tables the solver keeps, so each enumeration builds its own.
+verify`, of K(7,7,7) in itself and of K(3,5,7) in K(4,6,8); an untimed run
+before the timed ones builds their hosts and compiles the pattern's plan.
+The copy search reuses the host's link table from that run; the 60 parity
+hosts outnumber the link tables the solver keeps, so each enumeration
+builds its own.
 The "plan" row times one `contains_copy` with the solver's plan cache
 emptied before each run, so it counts the pattern's analysis and compile
 (`solver._plan`) with the search; it has no split and runs no cover.
@@ -232,6 +233,8 @@ K112 = complete_k_partite((1, 1, 2)).graph
 K122 = complete_k_partite((1, 2, 2)).graph
 K666 = complete_k_partite((6, 6, 6)).graph
 K777 = complete_k_partite((7, 7, 7)).graph
+K357 = complete_k_partite((3, 5, 7)).graph
+K468 = complete_k_partite((4, 6, 8)).graph
 KST322 = k_st(3, 2, 2).graph
 # one edge and eleven isolated vertices
 SPARSE14 = build(3, 14, [(0, 1, 2)])
@@ -294,6 +297,10 @@ ROWS = {
     # The paper's K^3(m): 21 positions, one copy set.
     "k777-self": (ENUMERATION, "enumerate_copy_sets(complete_k_partite((7, 7, 7)), complete_k_partite((7, 7, 7)))",
                   lambda: {"copy_sets": len(solver.enumerate_copy_sets(K777, K777).sets)}),
+    # Unequal parts: no equal-part bound, and the one-vertex-per-part order
+    # is slower here than the most-constrained order.  192 copy sets.
+    "k357-in-k468": (ENUMERATION, "enumerate_copy_sets(complete_k_partite((4, 6, 8)), complete_k_partite((3, 5, 7)))",
+                     lambda: {"copy_sets": len(solver.enumerate_copy_sets(K468, K357).sets)}),
     # A 14-vertex pattern with 3^11 realisations, none of them complete partite.
     "plan-sparse14": (PLAN, "contains_copy(complete_k_partite((6, 6, 6)), build(3, 14, [(0, 1, 2)]))"
                             " with an empty plan cache",

@@ -363,9 +363,11 @@ def _place(host: Hypergraph, pattern: Hypergraph,
     The plan is compiled to nested loops, one per position (`_compile`),
     and each link lookup sits in the loop where its (k-1)-set's last vertex
     lands, so it is made once for every position that closes the set, and
-    an empty link ends the candidate there.
+    an empty link ends the candidate there.  A pattern with more vertices
+    than the host has no placement, and the search is not run.
     """
-    _plan(pattern).kernel(_links(host).get, leaf, [0] * pattern.n, (1 << host.n) - 1)
+    if pattern.n <= host.n:
+        _plan(pattern).kernel(_links(host).get, leaf, [0] * pattern.n, (1 << host.n) - 1)
 
 
 def contains_copy(host: Hypergraph, pattern: Hypergraph) -> Embedding | None:
@@ -375,10 +377,8 @@ def contains_copy(host: Hypergraph, pattern: Hypergraph) -> Embedding | None:
     Vertices need not be spanned; the copy may use any host vertices.
     """
     _check_pair(host, pattern)
-    if pattern.n > host.n:
-        return None
     if pattern.edge_count == 0:
-        return Embedding(tuple(range(pattern.n)))
+        return Embedding(tuple(range(pattern.n))) if pattern.n <= host.n else None
     last = _plan(pattern).order[-1]
     found: list[Embedding] = []
 

@@ -78,6 +78,25 @@ def test_enumerate_copy_sets_fixtures():
     assert enumerate_copy_sets(EDGE, K222, budget=1) == ((), {})
 
 
+def test_a_pattern_larger_than_its_host_runs_no_search(monkeypatch):
+    # The 13-vertex tight path has no twins, so a search in the complete
+    # 3-graph on 12 vertices would try all 12! placements of its first 12
+    # vertices before it ran out of room.  It must not start: with the
+    # pattern planned, no link table, which every search reads first, is
+    # asked for.
+    path13 = build(3, 13, [(i, i + 1, i + 2) for i in range(11)])
+    assert solver._plan(path13).twin == (-1,) * 13
+
+    def refuse(host):
+        raise AssertionError("a search ran")
+
+    host = complete_3graph(12)
+    monkeypatch.setattr(solver, "_links", refuse)
+    assert enumerate_copy_sets(host, path13, budget=1) == ((), {})
+    assert contains_copy(host, path13) is None
+    assert contains_copy(host, build(3, 13, [])) is None
+
+
 def test_enumerate_copy_sets_witnesses_verify():
     enum = enumerate_copy_sets(B75, C4)
     for vs in enum.sets[:25]:

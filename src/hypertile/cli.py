@@ -5,6 +5,8 @@ results go to stdout as JSON with sorted keys; timings and diagnostics go to
 stderr, so stdout is byte-identical across runs with the same inputs.
 
 Exit codes: 0 success, 1 bad input, 2 verification failure, 3 budget exceeded.
+A usage error (an unknown command, a missing or malformed argument) exits 1
+with argparse's usage line and message on stderr.
 """
 
 from __future__ import annotations
@@ -30,18 +32,6 @@ from .probes import (classify_goodness, close_threshold, count_connectors,
 from .solver import copies_of_type, has_perfect_tiling, max_tiling
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 on usage errors, keeping 2 for verification failures."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with(message))
-
-    def exit_with(self, message: str) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
-
-
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -55,14 +45,23 @@ def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"expected a rational like 1/10 or 0.1, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected a rational like 1/10 or 0.1, got {text!r}") from None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
+def _index_pair(text: str) -> tuple[int, ...]:
+    pair = _int_list(text)
+    if len(pair) != 2:
+        raise argparse.ArgumentTypeError(f"expected two part indices j,l, got {text!r}")
+    return pair
 
 
 def _load_partition(path: str, graph: Hypergraph) -> Partition:
@@ -152,13 +151,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_tile(args: argparse.Namespace) -> int:
-    if args.partition is not None and args.type is None:
-        raise ValidationError("--partition requires --type")
+    if (args.type is None) != (args.partition is None):
+        raise ValidationError("--type requires --partition" if args.partition is None
+                              else "--partition requires --type")
     host = load_hg(args.host)
     pattern = load_hg(args.pattern)
     if args.type is not None:
-        if args.partition is None:
-            raise ValidationError("--type requires --partition")
         partition = _load_partition(args.partition, host)
         sets = copies_of_type(host, pattern, partition, args.type, budget=args.budget)
         _emit({
@@ -189,56 +187,60 @@ def _cmd_tile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_probe(args: argparse.Namespace) -> int:
+def _probe_connectors(args: argparse.Namespace) -> int:
     host = load_hg(args.host)
-    if args.probe == "connectors":
-        pattern = load_hg(args.pattern)
-        count = count_connectors(host, pattern, args.x, args.y, args.i,
-                                 budget=args.budget)
-        _emit({"count": count, "x": args.x, "y": args.y, "i": args.i})
-        return 0
-    if args.probe == "close":
-        pattern = load_hg(args.pattern)
-        threshold = close_threshold(host, pattern, args.i, args.eta)
-        count = count_connectors(host, pattern, args.x, args.y, args.i,
-                                 budget=args.budget)
-        _emit({
-            "close": count >= threshold,
-            "count": count,
-            "eta": rational_json(args.eta),
-            "threshold": rational_json(threshold),
-        })
-        return 0
-    if args.probe == "robust":
-        pattern = load_hg(args.pattern)
-        partition = _load_partition(args.partition, host)
-        report = robust_vectors(host, pattern, partition, args.mu, budget=args.budget)
-        payload: dict = {
-            "counts": {",".join(map(str, tv)): c
-                       for tv, c in sorted(report.counts.items())},
-            "robust": [list(tv) for tv in report.robust],
-            "mu": rational_json(report.mu),
-            "total": report.total,
-        }
-        if args.transferral is not None:
-            j, l = args.transferral
-            payload["transferral"] = {
-                "j": j,
-                "l": l,
-                "member": has_transferral(report, j, l),
-            }
-        _emit(payload)
-        return 0
-    if args.probe == "goodness":
-        against = load_hg(args.against)
-        report = classify_goodness(host, against, args.alpha)
-        _emit({
-            "good": list(report.good),
-            "difference_degrees": list(report.difference_degrees),
-            "threshold": rational_json(report.threshold),
-        })
-        return 0
-    witness = extremal_witness(host, args.gamma)
+    pattern = load_hg(args.pattern)
+    count = count_connectors(host, pattern, args.x, args.y, args.i, budget=args.budget)
+    _emit({"count": count, "x": args.x, "y": args.y, "i": args.i})
+    return 0
+
+
+def _probe_close(args: argparse.Namespace) -> int:
+    host = load_hg(args.host)
+    pattern = load_hg(args.pattern)
+    threshold = close_threshold(host, pattern, args.i, args.eta)
+    count = count_connectors(host, pattern, args.x, args.y, args.i, budget=args.budget)
+    _emit({
+        "close": count >= threshold,
+        "count": count,
+        "eta": rational_json(args.eta),
+        "threshold": rational_json(threshold),
+    })
+    return 0
+
+
+def _probe_robust(args: argparse.Namespace) -> int:
+    host = load_hg(args.host)
+    pattern = load_hg(args.pattern)
+    partition = _load_partition(args.partition, host)
+    report = robust_vectors(host, pattern, partition, args.mu, budget=args.budget)
+    payload: dict = {
+        "counts": {",".join(map(str, tv)): c for tv, c in sorted(report.counts.items())},
+        "robust": [list(tv) for tv in report.robust],
+        "mu": rational_json(report.mu),
+        "total": report.total,
+    }
+    if args.transferral is not None:
+        j, l = args.transferral
+        payload["transferral"] = {"j": j, "l": l, "member": has_transferral(report, j, l)}
+    _emit(payload)
+    return 0
+
+
+def _probe_goodness(args: argparse.Namespace) -> int:
+    host = load_hg(args.host)
+    against = load_hg(args.against)
+    report = classify_goodness(host, against, args.alpha)
+    _emit({
+        "good": list(report.good),
+        "difference_degrees": list(report.difference_degrees),
+        "threshold": rational_json(report.threshold),
+    })
+    return 0
+
+
+def _probe_extremal(args: argparse.Namespace) -> int:
+    witness = extremal_witness(load_hg(args.host), args.gamma)
     _emit({
         "witness": None if witness.partition is None
         else [list(p) for p in witness.partition.parts],
@@ -269,9 +271,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -- wiring --------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="hypertile",
-                     description="Exact hypergraph tiling checks at desk scale.")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="hypertile",
+                                     description="Exact hypergraph tiling checks at desk scale.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="partite invariants of a pattern graph")
@@ -311,7 +313,7 @@ def _build_parser() -> _Parser:
     q.add_argument("-y", type=int, required=True)
     q.add_argument("-i", type=int, default=1)
     q.add_argument("--budget", type=int, default=None)
-    q.set_defaults(func=_cmd_probe)
+    q.set_defaults(func=_probe_connectors)
 
     q = probe_sub.add_parser("close")
     q.add_argument("host")
@@ -321,28 +323,28 @@ def _build_parser() -> _Parser:
     q.add_argument("-i", type=int, default=1)
     q.add_argument("--eta", type=_rational, required=True)
     q.add_argument("--budget", type=int, default=None)
-    q.set_defaults(func=_cmd_probe)
+    q.set_defaults(func=_probe_close)
 
     q = probe_sub.add_parser("robust")
     q.add_argument("host")
     q.add_argument("--pattern", required=True)
     q.add_argument("--partition", required=True)
     q.add_argument("--mu", type=_rational, required=True)
-    q.add_argument("--transferral", type=_int_list, default=None,
+    q.add_argument("--transferral", type=_index_pair, default=None,
                    help="two part indices j,l to test for a transferral")
     q.add_argument("--budget", type=int, default=None)
-    q.set_defaults(func=_cmd_probe)
+    q.set_defaults(func=_probe_robust)
 
     q = probe_sub.add_parser("goodness")
     q.add_argument("host")
     q.add_argument("--against", required=True, help="comparison .hg file")
     q.add_argument("--alpha", type=_rational, required=True)
-    q.set_defaults(func=_cmd_probe)
+    q.set_defaults(func=_probe_goodness)
 
     q = probe_sub.add_parser("extremal")
     q.add_argument("host")
     q.add_argument("--gamma", type=_rational, required=True)
-    q.set_defaults(func=_cmd_probe)
+    q.set_defaults(func=_probe_extremal)
 
     p = sub.add_parser("sweep", help="codegree and factor sweep over barrier graphs")
     p.add_argument("--n-min", type=int, required=True)
@@ -364,12 +366,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
+        return 1 if exc.code else 0  # argparse exits 2 on a usage error; 2 means a failed claim
     try:
         if hasattr(args, "budget"):
             resolve_budget(args.budget)  # a bad --budget or HYPERTILE_BUDGET fails before any work
@@ -377,10 +377,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"hypertile: budget: {exc}", file=sys.stderr)
         return 3
-    except HypertileError as exc:
-        print(f"hypertile: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (HypertileError, OSError) as exc:
         print(f"hypertile: error: {exc}", file=sys.stderr)
         return 1
 

@@ -232,6 +232,7 @@ def extremal_witness(host: Hypergraph, gamma) -> ExtremalWitness:
     a_size = n // 2
     allowance = gamma_f * n ** 3
     edge_masks = [sum(1 << v for v in e) for e in host.edges]
+    everything = (1 << n) - 1
     b_size = n - a_size
     barrier_total = math.comb(a_size, 3) + a_size * math.comb(b_size, 2)
 
@@ -242,38 +243,34 @@ def extremal_witness(host: Hypergraph, gamma) -> ExtremalWitness:
                 present += 1
         return barrier_total - present
 
-    def witness(a_set: tuple[int, ...], missing: int, exhaustive: bool) -> ExtremalWitness:
-        b_set = tuple(v for v in range(n) if v not in set(a_set))
-        return ExtremalWitness(Partition([a_set, b_set], n), exhaustive, missing)
+    def members(mask: int) -> tuple[int, ...]:
+        return tuple(v for v in range(n) if mask >> v & 1)
+
+    def witness(a_mask: int, missing: int, exhaustive: bool) -> ExtremalWitness:
+        parts = [members(a_mask), members(everything ^ a_mask)]
+        return ExtremalWitness(Partition(parts, n), exhaustive, missing)
 
     if n <= EXHAUSTIVE_SPLIT_LIMIT:
         for a_set in itertools.combinations(range(n), a_size):
-            missing = missing_for(sum(1 << v for v in a_set))
+            a_mask = sum(1 << v for v in a_set)
+            missing = missing_for(a_mask)
             if Fraction(missing) <= allowance:
-                return witness(a_set, missing, True)
+                return witness(a_mask, missing, True)
         return ExtremalWitness(None, True, None)
 
     # Greedy: start from the identity split, take the first strictly
-    # improving swap in id order, repeat to a local minimum.
-    a_list = list(range(a_size))
+    # improving swap (u from A, then w from B, both in id order), repeat to
+    # a local minimum.
     a_mask = (1 << a_size) - 1
     missing = missing_for(a_mask)
-    improved = True
-    while improved and missing > 0:
-        improved = False
-        for u in sorted(a_list):
-            for w in sorted(set(range(n)) - set(a_list)):
-                trial = (a_mask & ~(1 << u)) | (1 << w)
-                m2 = missing_for(trial)
-                if m2 < missing:
-                    a_mask = trial
-                    a_list.remove(u)
-                    a_list.append(w)
-                    missing = m2
-                    improved = True
-                    break
-            if improved:
+    while missing > 0:
+        for u, w in itertools.product(members(a_mask), members(everything ^ a_mask)):
+            trial = a_mask ^ (1 << u | 1 << w)
+            if (m := missing_for(trial)) < missing:
+                a_mask, missing = trial, m
                 break
+        else:
+            break
     if Fraction(missing) <= allowance:
-        return witness(tuple(sorted(a_list)), missing, False)
+        return witness(a_mask, missing, False)
     return ExtremalWitness(None, False, None)

@@ -326,3 +326,39 @@ def lattice_member_box(generators, target, box: int) -> bool:
         if vec == tuple(target):
             return True
     return False
+
+
+def greedy_barrier_split(n: int, edges, gamma):
+    """The greedy swap search for a balanced barrier split, on vertex lists.
+
+    Starts from A = {0, ..., n//2 - 1}; takes the first swap (u in A, w not
+    in A, both ascending) that lowers the count of barrier edges missing
+    from the host, and repeats to a local minimum.  Returns (A, missing) if
+    missing <= gamma * n^3, else (None, None).
+    """
+    a_size = n // 2
+    edge_sets = [set(e) for e in edges]
+    barrier_total = (a_size * (a_size - 1) * (a_size - 2) // 6
+                     + a_size * (n - a_size) * (n - a_size - 1) // 2)
+
+    def missing_for(a_list) -> int:
+        a = set(a_list)
+        return barrier_total - sum(len(e & a) % 2 for e in edge_sets)
+
+    a_list = list(range(a_size))
+    missing = missing_for(a_list)
+    improved = True
+    while improved and missing > 0:
+        improved = False
+        for u in sorted(a_list):
+            for w in sorted(set(range(n)) - set(a_list)):
+                trial = [v for v in a_list if v != u] + [w]
+                m2 = missing_for(trial)
+                if m2 < missing:
+                    a_list, missing, improved = trial, m2, True
+                    break
+            if improved:
+                break
+    if Fraction(missing) <= Fraction(gamma) * n ** 3:
+        return tuple(sorted(a_list)), missing
+    return None, None

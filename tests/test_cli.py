@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -190,9 +191,12 @@ def test_tile_past_the_recursion_limit(tmp_path):
         assert doc["copies"] == matching and doc["covered"] == list(range(2100))
 
 
-def test_tile_type_requires_partition(capsys, b75_path, k222_path):
-    code = main(["tile", b75_path, "--pattern", k222_path, "--type", "6,0"])
-    assert code == 1
+def test_tile_type_requires_partition(capsys, tmp_path, b75_path, k222_path):
+    # checked before any file is read, so a missing host is not reported
+    for host in (b75_path, str(tmp_path / "missing.hg")):
+        code, out, err = run(capsys, ["tile", host, "--pattern", k222_path, "--type", "6,0"])
+        assert code == 1 and out == ""
+        assert err == "hypertile: error: --type requires --partition\n"
 
 
 def test_tile_partition_requires_type(capsys, tmp_path, b75_path, k222_path):
@@ -291,6 +295,28 @@ def test_probe_robust_and_transferral(capsys, tmp_path, b75_path):
     assert doc["transferral"] == {"j": 0, "l": 1, "member": False}
 
 
+@pytest.mark.parametrize("indices", ["0", "0,1,2"])
+def test_probe_robust_transferral_needs_two_indices(capsys, tmp_path, b75_path,
+                                                    monkeypatch, indices):
+    import hypertile.probes
+    import hypertile.solver
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("copy sets enumerated before the arguments were checked")
+
+    monkeypatch.setattr(hypertile.solver, "enumerate_copy_sets", unreachable)
+    monkeypatch.setattr(hypertile.probes, "enumerate_copy_sets", unreachable)
+    pattern = write_pattern(tmp_path, "edge.hg", 3, 3, [(0, 1, 2)])
+    parts = tmp_path / "parts.json"
+    parts.write_text(json.dumps([list(range(0, 7)), list(range(7, 12))]))
+    code, out, err = run(capsys, ["probe", "robust", b75_path, "--pattern", pattern,
+                                  "--partition", str(parts), "--mu", "0",
+                                  "--transferral", indices])
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.endswith("hypertile probe robust: error: argument --transferral: "
+                        f"expected two part indices j,l, got {indices!r}\n")
+
+
 def test_probe_goodness(capsys, tmp_path, b75_path):
     code, out, _ = run(capsys, ["probe", "goodness", b75_path,
                                 "--against", b75_path, "--alpha", "0"])
@@ -373,6 +399,50 @@ def test_exit_codes(capsys, tmp_path, b75_path, k222_path):
     # argparse usage errors are remapped to a plain 1
     assert main(["no-such-command"]) == 1
     assert main(["tile"]) == 1  # missing required arguments
+
+
+def test_usage_error_in_a_probe_subcommand(capsys, tmp_path):
+    code, out, err = run(capsys, ["probe", "close", str(tmp_path / "h.hg"),
+                                  "--pattern", str(tmp_path / "p.hg"), "-x", "0", "-y", "1"])
+    assert code == 1 and out == ""
+    usage, message = err.split("\nhypertile probe close: error: ")
+    assert usage.startswith("usage: hypertile probe close [-h] --pattern PATTERN")
+    assert message == "the following arguments are required: --eta\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["invariants", "{b75}", "--alpha", "bogus"],
+     "argument --alpha: expected a rational like 1/10 or 0.1, got 'bogus'"),
+    (["tile", "{b75}", "--pattern", "{k222}", "--type", "2,x"],
+     "argument --type: expected comma-separated integers, got '2,x'"),
+], ids=["alpha", "type"])
+def test_bad_argument_values_are_reported_in_their_own_words(capsys, b75_path, k222_path,
+                                                            argv, message):
+    argv = [a.format(b75=b75_path, k222=k222_path) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.endswith(f"hypertile {argv[0]}: error: {message}\n")
+
+
+def _leaf_commands(parser, path=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaf_commands(child, (*path, name))
+
+
+def test_every_subcommand_has_its_own_handler_and_help(capsys):
+    from hypertile.cli import _build_parser
+    leaves = dict(_leaf_commands(_build_parser()))
+    assert len(leaves) == 10
+    for path, parser in leaves.items():
+        assert callable(parser.get_default("func")), path
+    assert len({p.get_default("func") for p in leaves.values()}) == len(leaves)
+    for path in [(), ("probe",), *leaves]:
+        assert main([*path, "--help"]) == 0, path
+        assert capsys.readouterr().out.startswith(f"usage: {' '.join(('hypertile', *path))}")
 
 
 def test_budget_env_var(capsys, b75_path, k222_path, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,21 @@ def test_extremal_witness_greedy_path(monkeypatch):
     w = extremal_witness(lc.graph, 0)
     assert not w.exhaustive
     assert w.partition is not None and w.missing_edges == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(17, 20), st.sampled_from([0.1, 0.3, 0.5]), st.integers(0, 2**32 - 1),
+       st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 100), Fraction(1, 10)]))
+def test_extremal_witness_greedy_matches_oracle(n, p, seed, gamma):
+    rng = random.Random(seed)
+    edges = [e for e in itertools.combinations(range(n), 3) if rng.random() < p]
+    w = extremal_witness(build(3, n, edges), gamma)
+    a_part, missing = oracles.greedy_barrier_split(n, edges, gamma)
+    assert not w.exhaustive and w.missing_edges == missing
+    if a_part is None:
+        assert w.partition is None
+    else:
+        assert w.partition.parts == (a_part, tuple(v for v in range(n) if v not in a_part))
 
 
 def test_extremal_witness_validation():

@@ -39,14 +39,19 @@ builds its own.
 The "plan" row times one `contains_copy` with the solver's plan cache
 emptied before each run, so it counts the pattern's analysis and compile
 (`solver._plan`) with the search; it has no split and runs no cover.
-The `cli-import` row is the exception: `total_s` is the median wall time of
-21 fresh `python -c "import hypertile.cli"` processes, started in the
-caller's environment, and its answer is the list of `hypertile` modules that
-the import loads, whether those processes write no bytecode
-(`sys.dont_write_bytecode`, set by `PYTHONDONTWRITEBYTECODE` or `-B`) and
-whether the package had a `__pycache__` when the first one started.  Without
-a bytecode cache every process compiles the package's source, so the row's
-time depends on both. Every row states its `unit`.
+The `cli-import` and `cli-command` rows are the exceptions: `total_s` is
+the median wall time of 21 fresh processes, started in the caller's
+environment.  `cli-import` runs `python -c "import hypertile.cli"`, and its
+answer is the list of `hypertile` modules that the import loads, whether
+those processes write no bytecode (`sys.dont_write_bytecode`, set by
+`PYTHONDONTWRITEBYTECODE` or `-B`) and whether the package had a
+`__pycache__` when the first one started.  Without a bytecode cache every
+process compiles the package's source, so the row's time depends on both.
+`cli-command` runs a whole short command, `python -m hypertile.cli probe
+connectors` on a fixed random host written to a temporary directory, with
+stdout to a file; it adds `cpu_s`, the median CPU seconds of the processes
+(`os.wait4`), so it counts the import, the command and the exit.  Its answer
+is the exit code and the SHA-256 of stdout.  Every row states its `unit`.
 
 Every row also gives `reference_s`: the fastest CPU seconds, of
 REFERENCE_REPEATS runs, of a fixed pure-Python loop run just before the
@@ -144,7 +149,7 @@ def _max(host, pattern):
     return {"size": size, "copies": [list(e.images) for e in cert.embeddings]}
 
 
-IMPORT_PROCESSES = 21
+PROCESSES = 21
 
 
 def _cli_import():
@@ -153,7 +158,7 @@ def _cli_import():
     whether the package had a bytecode cache before the first one ran."""
     cached = (pathlib.Path(hypertile.__file__).parent / "__pycache__").is_dir()
     times = []
-    for _ in range(IMPORT_PROCESSES):
+    for _ in range(PROCESSES):
         started = time.perf_counter()
         subprocess.run([sys.executable, "-c", "import hypertile.cli"], check=True)
         times.append(time.perf_counter() - started)
@@ -161,9 +166,34 @@ def _cli_import():
         [sys.executable, "-c", "import sys, hypertile.cli; print(sys.dont_write_bytecode, "
          "*sorted(m for m in sys.modules if m.split('.')[0] == 'hypertile'))"],
         capture_output=True, text=True, check=True).stdout.split()
-    return statistics.median(times), {"modules": modules,
-                                      "dont_write_bytecode": no_bytecode == "True",
-                                      "pycache_at_start": cached}
+    return {"total_s": round(statistics.median(times), 4)}, {
+        "modules": modules, "dont_write_bytecode": no_bytecode == "True",
+        "pycache_at_start": cached}
+
+
+def _cli_command():
+    """Median wall and CPU seconds of fresh `probe connectors` processes, and
+    the exit codes and stdout SHA-256s they gave."""
+    walls, cpus, answers = [], [], set()
+    with tempfile.TemporaryDirectory() as tmp:
+        host, pattern, out = (os.path.join(tmp, name) for name in ("host.hg", "k111.hg", "out"))
+        hgio.save_hg(_random_host(0, 14, 0.5), host)
+        hgio.save_hg(K111, pattern)
+        argv = [sys.executable, "-m", "hypertile.cli", "probe", "connectors", host,
+                "--pattern", pattern, "-x", "0", "-y", "1", "-i", "1"]
+        for _ in range(PROCESSES):
+            with open(out, "wb") as fh:
+                started = time.perf_counter()
+                proc = subprocess.Popen(argv, stdout=fh)
+                _, status, usage = os.wait4(proc.pid, 0)
+                walls.append(time.perf_counter() - started)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            cpus.append(usage.ru_utime + usage.ru_stime)
+            with open(out, "rb") as fh:
+                answers.add((proc.returncode, hashlib.sha256(fh.read()).hexdigest()))
+    return ({"total_s": round(statistics.median(walls), 4),
+             "cpu_s": round(statistics.median(cpus), 4)},
+            [{"exit_code": code, "stdout_sha256": sha} for code, sha in sorted(answers)])
 
 
 def _sweep():
@@ -225,6 +255,9 @@ TWINS = "twin classes"
 COPY_SEARCH = "copy search"
 ENUMERATION = "enumeration"
 PLAN = "plan"
+# layers timed as fresh processes, by wall time
+IMPORT = "import"
+PROCESS = "process"
 # layers whose inputs an untimed run builds first, and that run no cover
 PREPARED = (TWINS, COPY_SEARCH, ENUMERATION)
 K222 = complete_k_partite((2, 2, 2)).graph
@@ -305,7 +338,10 @@ ROWS = {
     "plan-sparse14": (PLAN, "contains_copy(complete_k_partite((6, 6, 6)), build(3, 14, [(0, 1, 2)]))"
                             " with an empty plan cache",
                       lambda: _fresh_plan_copy(K666, SPARSE14)),
-    "cli-import": ("import", 'python -c "import hypertile.cli"', _cli_import),
+    "cli-import": (IMPORT, 'python -c "import hypertile.cli"', _cli_import),
+    "cli-command": (PROCESS, f"python -m hypertile.cli probe connectors <{RANDOM14}>"
+                             " --pattern <K(1,1,1)> -x 0 -y 1 -i 1",
+                    _cli_command),
     # The two exhaustive searches of `hypertile verify` that are not tilings.
     "c4free-7": (CHECKERS, "experiments.four_cycle_free_max_edges(7)",
                  lambda: {"edges": experiments.four_cycle_free_max_edges(7)}),
@@ -371,15 +407,15 @@ def _search_calls(run, names=SEARCHES, files=(solver.__file__,)) -> int:
 
 
 def measure(name: str, repeat: int) -> dict:
-    """The row's fastest run (the import row: its median), with its layer
+    """The row's fastest run (the process rows: their medians), with its layer
     split and its answer."""
     layer, code, run = ROWS[name]
     reference = _reference_s()
-    if layer == "import":
-        seconds, answer = run()
+    if layer in (IMPORT, PROCESS):
+        times, answer = run()
         return {"row": name, "layer": layer, "code": code,
-                "unit": f"s wall, median of {IMPORT_PROCESSES} processes",
-                "total_s": round(seconds, 4), "reference_s": reference, "answer": answer,
+                "unit": f"s wall, median of {PROCESSES} processes",
+                **times, "reference_s": reference, "answer": answer,
                 "answer_sha256": hashlib.sha256(json.dumps(answer, sort_keys=True).encode()).hexdigest(),
                 **_package_meta()}
     # Every module binding of the tiling entry points gets a wrapper around

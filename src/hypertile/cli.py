@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import experiments
 from .budget import resolve_budget
@@ -382,8 +383,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
-def entry() -> None:
-    raise SystemExit(main())
+def entry() -> NoReturn:
+    """Run `main`, flush its output and end with `os._exit`, skipping interpreter
+    teardown. A failed write to stdout is reported as any OSError is: exit 1."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"hypertile: error: {exc}", file=sys.stderr)
+        code = 1
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

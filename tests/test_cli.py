@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,16 +9,26 @@ from pathlib import Path
 import pytest
 
 import hypertile
-from hypertile import build, load_hg, parse_hg, save_hg
+from hypertile import build, field_product_graph, load_hg, parse_hg, save_hg, write_hg
 from hypertile.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(hypertile.__file__).resolve().parent.parent
 
 
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(argv, cwd=None, **kwargs):
+    """`python -m hypertile.cli` in a fresh interpreter, so through `cli.entry`,
+    with stdout block-buffered as it is for a user who redirects it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-m", "hypertile.cli", *argv],
+                          cwd=cwd, env=env, **kwargs)
 
 
 def write_pattern(tmp_path, name, k, n, edges):
@@ -181,11 +192,9 @@ def test_tile_past_the_recursion_limit(tmp_path):
     matching = [[2 * j, 2 * j + 1] for j in range(1050)]
     host = write_pattern(tmp_path, "matching.hg", 2, 2100, matching)
     edge = write_pattern(tmp_path, "edge.hg", 2, 2, [(0, 1)])
-    src = Path(hypertile.__file__).resolve().parent.parent
     for extra in ([], ["--max"]):
-        done = subprocess.run(
-            [sys.executable, "-m", "hypertile.cli", "tile", host, "--pattern", edge, *extra],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+        done = run_process(["tile", host, "--pattern", edge, *extra],
+                           capture_output=True, text=True)
         assert done.returncode == 0 and done.stderr == ""
         doc = json.loads(done.stdout)
         assert doc["copies"] == matching and doc["covered"] == list(range(2100))
@@ -489,3 +498,65 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "invariants" in out and "verify" in out
+
+
+_TIMING = re.compile(r"^(\[time\] .*: )\d+\.\d{3}s$", re.MULTILINE)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["tile", "host.hg", "--pattern", "edge.hg"], 0),
+    (["tile", "missing.hg", "--pattern", "edge.hg"], 1),
+    (["tile", "b75.hg", "--pattern", "k222.hg", "--budget", "1"], 3),
+    (["verify", "--claims", "kst-turan"], 0),
+    (["--help"], 0),
+], ids=["tiling", "missing-host", "budget", "verify", "help"])
+def test_a_command_process_ends_as_main_returns(capsys, tmp_path, monkeypatch, b75_path,
+                                                k222_path, argv, expected):
+    # entry() ends the process with os._exit: the process must still write
+    # every byte that main() writes, and exit with main()'s code
+    write_pattern(tmp_path, "host.hg", 3, 6, [(0, 1, 2), (3, 4, 5), (0, 1, 3)])
+    write_pattern(tmp_path, "edge.hg", 3, 3, [(0, 1, 2)])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal's width
+    os.rename(b75_path, "b75.hg")
+    os.rename(k222_path, "k222.hg")
+    done = run_process(argv, tmp_path, capture_output=True)
+    code, out, err = run(capsys, argv)
+    assert done.returncode == code == expected
+    assert done.stdout == out.encode() and (out != "") == (code == 0)
+    # the [time] lines of verify differ only in their seconds
+    assert _TIMING.sub(r"\1", done.stderr.decode()) == _TIMING.sub(r"\1", err)
+    assert (err != "") == (code != 0 or argv[0] == "verify")
+
+
+def test_a_large_output_reaches_a_pipe_whole(tmp_path):
+    construction = field_product_graph(11)
+    comment = f"{construction.name} {construction.params}"
+    done = run_process(["construct", "fieldprod", "11"], tmp_path, capture_output=True)
+    assert done.returncode == 0 and done.stderr == b""
+    assert done.stdout == write_hg(construction.graph, comments=(comment,)).encode()
+
+
+def test_construct_process_writes_the_files_main_writes(capsys, tmp_path, monkeypatch):
+    argv = ["construct", "barrier", "7", "5", "-o", "out.hg"]
+    for side in ("process", "main"):
+        (tmp_path / side).mkdir()
+    done = run_process(argv, tmp_path / "process", capture_output=True, text=True)
+    monkeypatch.chdir(tmp_path / "main")
+    code, out, err = run(capsys, argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err) == (
+        0, "", "wrote out.hg and out.hg.json\n")
+    for name in ("out.hg", "out.hg.json"):
+        assert (tmp_path / "process" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["construct", "barrier", "4", "3"],    # held in stdout's buffer until main returns
+    ["construct", "fieldprod", "11"],      # larger than the buffer: fails inside main
+], ids=["buffered", "large"])
+def test_a_failed_write_to_stdout_exits_one(tmp_path, argv):
+    with open("/dev/full", "w") as full:
+        done = run_process(argv, tmp_path, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 1
+    assert done.stderr == "hypertile: error: [Errno 28] No space left on device\n"

@@ -121,6 +121,12 @@ def _random_host(seed: int, n: int, p: float):
     return build(3, n, [e for e in itertools.combinations(range(n), 3) if rng.random() < p])
 
 
+def _thinned_barrier(a: int, b: int, seed: int, p: float):
+    """barrier_graph(a, b) with each edge, in order, dropped with probability p."""
+    rng = random.Random(seed)
+    return build(3, a + b, [e for e in barrier_graph(a, b).graph.edges if rng.random() >= p])
+
+
 def _complete_host(n: int):
     return build(3, n, itertools.combinations(range(n), 3))
 
@@ -288,6 +294,11 @@ ROWS = {
     # n = 24: the failed profiles over two twin classes end the search.
     "barrier1311-k222": ("tiling", "has_perfect_tiling(barrier_graph(13, 11), complete_k_partite((2, 2, 2)))",
                          lambda: _tiling(barrier_graph(13, 11).graph, K222)),
+    # Thinned so that no two vertices are twins: the failed states are
+    # keyed by their raw mask all the way down.
+    "thinned1011-k111": ("tiling", "has_perfect_tiling(barrier_graph(10, 11) less each edge with"
+                                   " random.Random(0).random() < 0.1, complete_k_partite((1, 1, 1)))",
+                         lambda: _tiling(_thinned_barrier(10, 11, 0, 0.1), K111)),
     "barrier99-kst322": ("tiling", "has_perfect_tiling(barrier_graph(9, 9), k_st(3, 2, 2))",
                          lambda: _tiling(barrier_graph(9, 9).graph, k_st(3, 2, 2).graph)),
     "sweep-12-18-m2": ("tiling", "hypertile sweep --n-min 12 --n-max 18 -m 2", _sweep),

@@ -20,7 +20,7 @@ from .budget import charge
 from .core import Hypergraph, Partition, TypeVector
 from .errors import ValidationError
 # has_perfect_tiling stays bound here because hbench's tracer self-test reads it.
-from .solver import _candidate_tables, _exact_cover_first, enumerate_copy_sets, has_perfect_tiling
+from .solver import _exact_cover_first, _table, enumerate_copy_sets, has_perfect_tiling
 
 
 def _connector_size(host: Hypergraph, pattern: Hypergraph, i: int) -> int:
@@ -61,11 +61,10 @@ def count_connectors(host: Hypergraph, pattern: Hypergraph, x: int, y: int,
             raise ValidationError(f"vertex {v} out of range 0..{host.n - 1}")
     size = _connector_size(host, pattern, i)
     charge(math.comb(host.n - 2, size), budget, "connector enumeration")
-    sets = enumerate_copy_sets(host, pattern, budget=budget).sets
-    tables = _candidate_tables(host.n, sets)
+    table = _table(host.n, enumerate_copy_sets(host, pattern, budget=budget).sets)
 
     def tiles(target: int) -> bool:
-        return _exact_cover_first(sets, *tables, target) is not None
+        return _exact_cover_first(table, target) is not None
 
     others = [1 << v for v in range(host.n) if v != x and v != y]
     return sum(1 for s in itertools.combinations(others, size)

@@ -39,8 +39,11 @@ that leaves t = |V(F)| vertices is decided by looking their mask up in the
 table (the sets are distinct t-sets), not by a node of its own.  A
 permutation inside the host's twin classes maps copy sets to copy sets, so
 a node's outcome depends only on its profile, the number of uncovered
-vertices in each class: a failed profile is remembered, and a choice whose
-remaining vertices have a failed profile is skipped before its node is
+vertices in each class.  One key rule holds the profile: an uncovered
+vertex whose class has one vertex is its own bit, and a larger class's
+count sits in a field above the vertices, so on a host without twins the
+key is the uncovered mask.  A failed node's key is remembered, and a choice
+whose remaining vertices have a failed key is skipped before its node is
 built.  Only failing subtrees are cut, so the branch order and the first
 cover are unchanged.  Both searches are one loop over an explicit stack
 with a frame per open ancestor (its state, the options it has still to try
@@ -459,31 +462,15 @@ def enumerate_copy_sets(host: Hypergraph, pattern: Hypergraph,
 # -- exact cover -------------------------------------------------------------
 
 
-def _profile_units(n: int, classes: Sequence[int]) -> list[int] | None:
-    """Per vertex, its unit in the profile key of a vertex mask, the sum of
-    its vertices' units: a vertex in a single-vertex class is its own bit,
-    and a larger class counts its vertices in a field above bit n.  None
-    when every class is a single vertex, where the key is the mask."""
-    big = [c for c in classes if c & (c - 1)]
-    if not big:
-        return None
-    units = [1 << v for v in range(n)]
-    shift = n
-    for c in big:
-        scan = c
-        while scan:
-            units[(scan & -scan).bit_length() - 1] = 1 << shift
-            scan &= scan - 1
-        shift += c.bit_count().bit_length()
-    return units
+# (sets, masks, cols, index, singles, fields): see `_table`
+_Table = tuple[Sequence[VertexSet], list[int], list[int], dict[int, int], int,
+               tuple[tuple[int, int], ...]]
 
 
-def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
-                       cols: Sequence[int], index: dict[int, int],
-                       target: int, classes: Sequence[int] = ()) -> list[int] | None:
-    """First exact cover of the vertex mask `target` by the sets, distinct
-    t-sets, under the fail-first column rule: branch on the uncovered vertex
-    v with the fewest live candidates, counted as
+def _exact_cover_first(table: _Table, target: int) -> list[int] | None:
+    """First exact cover of the vertex mask `target` by the table's sets,
+    distinct t-sets, under the fail-first column rule: branch on the
+    uncovered vertex v with the fewest live candidates, counted as
     `(live & cols[v]).bit_count()`, ties to the smallest id, failing at once
     on a vertex with none; try them in ascending index (input) order.  The
     sets through any vertex outside `target` are dead from the start, and
@@ -494,31 +481,22 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
     (mask to set index) says whether it is a candidate.  A target of t
     vertices is decided by the same lookup, with no node.
 
-    `classes` are vertex masks of twin classes of the host whose copy sets
-    the sets are (`_twin_classes`): a permutation inside them maps the sets
-    onto themselves, so the outcome depends only on the profile of
-    `uncovered`, its count in each class.  Each node carries `state`, its
-    key: the packed profile (`_profile_units`) when some class has two
-    vertices or more, else (no classes given, or all single) the mask
-    itself.  A set's key, the sum of its vertices' units, is subtracted to
-    reach the child's.  A node that fails, on a vertex with no live
-    candidate or once all its options have failed, puts its key in `dead`,
-    and an option that leaves more than t vertices is skipped, before its
-    child's `live` is built, when the child's key is in `dead`.  This
-    prunes only failing subtrees and keeps the branch order."""
+    A permutation inside the twin classes the table was built with maps the
+    sets onto themselves, so the outcome depends only on the profile of
+    `uncovered`, its count in each class, which its key holds (`_table`).
+    A node that fails, on a vertex with no live candidate or once all its
+    options have failed, puts its key in `dead`, and an option that leaves
+    more than t vertices is skipped, before its child's `live` is built,
+    when the child's key is in `dead`.  This prunes only failing subtrees
+    and keeps the branch order.  The root's key is never read: its failure
+    ends the search."""
+    sets, masks, cols, index, singles, fields = table
     t = len(sets[0]) if sets else 0
     if not target:
         return []
     if target.bit_count() == t:
         return [index[target]] if target in index else None
     dead: set[int] = set()
-    units = _profile_units(len(cols), classes)
-    if units is None:
-        key, state = masks.__getitem__, target
-    else:
-        def key(ci: int) -> int:
-            return sum(map(units.__getitem__, sets[ci]))
-        state = sum(u for v, u in enumerate(units) if target >> v & 1)
     live = (1 << len(sets)) - 1
     for v, col in enumerate(cols):
         if not target >> v & 1:
@@ -542,7 +520,7 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
     # One frame per open ancestor: its uncovered mask, key, live sets,
     # options still to try, and the set it chose.
     stack: list[tuple[int, int, int, int, int]] = []
-    uncovered, options = target, options_at(target, live)
+    uncovered, state, options = target, 0, options_at(target, live)
     while True:
         if options:
             low = options & -options
@@ -552,27 +530,31 @@ def _exact_cover_first(sets: Sequence[VertexSet], masks: Sequence[int],
             if rest.bit_count() == t:
                 if rest in index:
                     return [frame[4] for frame in stack] + [ci, index[rest]]
-            elif (after := state - key(ci)) not in dead:
+                continue
+            after = rest & singles
+            for c, shift in fields:
+                after |= (rest & c).bit_count() << shift
+            if after not in dead:
                 touching = 0
                 for u in sets[ci]:
                     touching |= cols[u]
                 stack.append((uncovered, state, live, options, ci))
                 uncovered, state, live = rest, after, live ^ (live & touching)
                 options = options_at(rest, live)
-        else:
+        elif stack:
             dead.add(state)
-            if not stack:
-                return None
             uncovered, state, live, options, _ = stack.pop()
+        else:
+            return None
 
 
-def _max_packing_first(sets: Sequence[VertexSet], masks: Sequence[int],
-                       cols: Sequence[int], t: int) -> list[int]:
-    """Largest disjoint family of the t-sets, by branch and bound on the
-    smallest available vertex: each live candidate through it in ascending
-    index order, then leaving it uncovered.  A node is cut when covering
-    every available vertex could not beat the incumbent, which also ends
-    the search when nothing is available."""
+def _max_packing_first(table: _Table, t: int) -> list[int]:
+    """Largest disjoint family of the table's t-sets, by branch and bound on
+    the smallest available vertex: each live candidate through it in
+    ascending index order, then leaving it uncovered.  A node is cut when
+    covering every available vertex could not beat the incumbent, which
+    also ends the search when nothing is available."""
+    sets, masks, cols = table[:3]
     best: list[int] = []
     # One frame per open ancestor: its available vertices and live sets, the
     # options still to try at its branch vertex, the set it chose, and the
@@ -609,17 +591,30 @@ def _max_packing_first(sets: Sequence[VertexSet], masks: Sequence[int],
             return best
 
 
-def _candidate_tables(n: int, sets: Sequence[VertexSet]
-                      ) -> tuple[list[int], list[int], dict[int, int]]:
-    """Each set's vertex mask, each vertex's column (the bitset of the sets
-    through it) and the index of each mask: the sets are distinct."""
+def _table(n: int, sets: Sequence[VertexSet], classes: Sequence[int] = ()) -> _Table:
+    """The searches' table over the sets, distinct vertex sets of the
+    vertices below n: the sets, each set's vertex mask, each vertex's column
+    (the bitset of the sets through it), the index of each mask, and the
+    layout of the exact cover's failed-state keys over the twin classes
+    `classes` (`_twin_classes`): `singles`, the vertices whose class has one
+    vertex, and per larger class its mask and the shift of its field, which
+    starts above bit n and is as wide as the class size's bit length.  A
+    vertex mask's key is its `singles` bits, each larger class's count in
+    its field, so with no classes given it is the mask itself."""
     masks = [sum(1 << v for v in s) for s in sets]
     cols = [bytearray((len(sets) + 7) // 8) for _ in range(n)]
     for ci, s in enumerate(sets):
         for v in s:
             cols[v][ci >> 3] |= 1 << (ci & 7)
     index = {m: ci for ci, m in enumerate(masks)}
-    return masks, [int.from_bytes(c, "little") for c in cols], index
+    singles, fields, shift = (1 << n) - 1, [], n
+    for c in classes:
+        if c & (c - 1):
+            singles ^= c
+            fields.append((c, shift))
+            shift += c.bit_count().bit_length()
+    return (sets, masks, [int.from_bytes(c, "little") for c in cols], index, singles,
+            tuple(fields))
 
 
 def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
@@ -635,8 +630,8 @@ def has_perfect_tiling(host: Hypergraph, pattern: Hypergraph,
     if host.n % pattern.n != 0:
         return TilingOutcome(None, REASON_DIVISIBILITY)
     enum = enumerate_copy_sets(host, pattern, budget=budget)
-    solution = _exact_cover_first(enum.sets, *_candidate_tables(host.n, enum.sets),
-                                  (1 << host.n) - 1, _twin_classes(host))
+    solution = _exact_cover_first(_table(host.n, enum.sets, _twin_classes(host)),
+                                  (1 << host.n) - 1)
     if solution is None:
         return TilingOutcome(None, REASON_EXHAUSTED)
     embeddings = tuple(enum.witnesses[enum.sets[ci]] for ci in solution)
@@ -648,8 +643,7 @@ def max_tiling(host: Hypergraph, pattern: Hypergraph,
     """Largest vertex-disjoint family of pattern copies, by branch and bound
     over the copy sets (see `_max_packing_first`)."""
     enum = enumerate_copy_sets(host, pattern, budget=budget)
-    masks, cols, _ = _candidate_tables(host.n, enum.sets)
-    best = _max_packing_first(enum.sets, masks, cols, pattern.n)
+    best = _max_packing_first(_table(host.n, enum.sets), pattern.n)
     embeddings = tuple(enum.witnesses[enum.sets[ci]] for ci in best)
     covered = vertex_set(v for ci in best for v in enum.sets[ci])
     return len(best), TilingCertificate(embeddings, covered)

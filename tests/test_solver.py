@@ -22,8 +22,8 @@ from hypertile import (
     verify_certificate,
 )
 from hypertile import solver
-from hypertile.solver import (TilingCertificate, _candidate_tables, _exact_cover_first,
-                              _max_packing_first, copies_of_type)
+from hypertile.solver import (TilingCertificate, _exact_cover_first, _max_packing_first,
+                              _table, copies_of_type)
 from hypertile.errors import BudgetExceededError, ValidationError
 from hypertile.experiments import naive_perfect_tiling
 
@@ -404,7 +404,7 @@ def _cover_calls(run):
 @given(COVER_SYSTEMS)
 def test_exact_cover_matches_the_oracle_rule(system):
     n, _, sets = system
-    got = _exact_cover_first(sets, *_candidate_tables(n, sets), (1 << n) - 1)
+    got = _exact_cover_first(_table(n, sets), (1 << n) - 1)
     assert got == oracles.first_cover(n, sets)
 
 
@@ -418,7 +418,7 @@ def test_exact_cover_meets_a_failed_state_again_before_its_cover():
     # is decided by a lookup, not a call.  Entering the failed state again
     # takes 8 calls, searching it again 9.
     got, states = _calls(
-        lambda: _exact_cover_first(sets, *_candidate_tables(10, sets), (1 << 10) - 1),
+        lambda: _exact_cover_first(_table(10, sets), (1 << 10) - 1),
         "options_at")
     assert got == oracles.first_cover(10, sets) == [9, 2, 5, 7, 11]
     assert states.count(0b1111010010) == 1
@@ -430,9 +430,8 @@ def _barrier_cover(a, b, pattern, twins):
     twin-class profile or by raw mask, and its number of calls."""
     host = barrier_graph(a, b).graph
     sets = enumerate_copy_sets(host, pattern).sets
-    classes = solver._twin_classes(host) if twins else ()
-    return _cover_calls(lambda: _exact_cover_first(
-        sets, *_candidate_tables(host.n, sets), (1 << host.n) - 1, classes))
+    table = _table(host.n, sets, solver._twin_classes(host) if twins else ())
+    return _cover_calls(lambda: _exact_cover_first(table, (1 << host.n) - 1))
 
 
 def test_exact_cover_searches_each_failed_state_once():
@@ -725,12 +724,40 @@ def test_twin_keyed_cover_is_the_raw_mask_cover(case):
     # keying failed states by twin-class profile prunes only failing subtrees
     g, pattern, target = case
     sets = enumerate_copy_sets(g, pattern).sets
-    tables = _candidate_tables(g.n, sets)
-    raw, raw_calls = _cover_calls(lambda: _exact_cover_first(sets, *tables, target))
+    raw, raw_calls = _cover_calls(lambda: _exact_cover_first(_table(g.n, sets), target))
     twin, twin_calls = _cover_calls(
-        lambda: _exact_cover_first(sets, *tables, target, solver._twin_classes(g)))
+        lambda: _exact_cover_first(_table(g.n, sets, solver._twin_classes(g)), target))
     assert twin == raw
     assert twin_calls <= raw_calls
+
+
+def _key(table, mask):
+    """The cover's failed-state key of a vertex mask, by the table's layout:
+    the mask's `singles` bits, and its count in each larger class shifted
+    into the class's field."""
+    *_, singles, fields = table
+    key = mask & singles
+    for c, shift in fields:
+        key |= (mask & c).bit_count() << shift
+    return key
+
+
+@settings(max_examples=100)
+# classes of 4 and 3 vertices: 4 in a field one bit short reaches the next
+@example(barrier_graph(4, 3).graph)
+@example(build(3, 4, []))
+@given(blow_ups(max_n=9))
+def test_table_key_is_the_twin_profile(g):
+    # two masks share a key exactly when they have equal counts in every
+    # twin class, and with no classes given the key is the mask
+    classes = oracles.twin_classes(g.n, g.edges)
+    table, raw = _table(g.n, (), solver._twin_classes(g)), _table(g.n, ())
+    profiles = {}
+    for mask in range(1 << g.n):
+        profile = tuple((mask & c).bit_count() for c in classes)
+        assert profiles.setdefault(_key(table, mask), profile) == profile
+        assert _key(raw, mask) == mask
+    assert len(profiles) == math.prod(c.bit_count() + 1 for c in classes)
 
 
 @settings(max_examples=60)
@@ -770,7 +797,7 @@ def test_targeted_cover_is_the_oracle_cover_of_the_subsystem(system):
     label = {v: j for j, v in enumerate(verts)}
     inside = [ci for ci, s in enumerate(sets) if all(v in label for v in s)]
     expected = oracles.first_cover(len(verts), [[label[v] for v in sets[ci]] for ci in inside])
-    got = _exact_cover_first(sets, *_candidate_tables(n, sets), target)
+    got = _exact_cover_first(_table(n, sets), target)
     assert got == (None if expected is None else [inside[j] for j in expected])
 
 
@@ -779,8 +806,7 @@ def test_targeted_cover_is_the_oracle_cover_of_the_subsystem(system):
 @given(COVER_SYSTEMS)
 def test_max_packing_matches_the_oracle_rule(system):
     n, t, sets = system
-    masks, cols, _ = _candidate_tables(n, sets)
-    got = _max_packing_first(sets, masks, cols, t)
+    got = _max_packing_first(_table(n, sets), t)
     assert got == oracles.first_max_packing(n, sets, t)
 
 

@@ -36,6 +36,10 @@ before the timed ones builds their hosts and compiles the pattern's plan.
 The copy search reuses the host's link table from that run; the 60 parity
 hosts outnumber the link tables the solver keeps, so each enumeration
 builds its own.
+The "degree queries" row times one `min_s_degree(2)` with the solver's
+link tables emptied before each run (`solver._links.cache_clear()`), so it
+counts the build of the host's link table, which the codegrees read; an
+untimed run before the timed ones builds the host.  It has no split.
 The "plan" row times one `contains_copy` with the solver's plan cache
 emptied before each run, so it counts the pattern's analysis and compile
 (`solver._plan`) with the search; it has no split and runs no cover.
@@ -245,6 +249,11 @@ def _fresh_plan_copy(host, pattern):
     return {"copy": solver.contains_copy(host, pattern)}
 
 
+def _cold_min_codegree(host):
+    solver._links.cache_clear()
+    return {"min_codegree": host.min_s_degree(2)}
+
+
 def _twin_class_sizes(host):
     return {"class_sizes": [c.bit_count() for c in solver._twin_classes(host)]}
 
@@ -261,11 +270,12 @@ TWINS = "twin classes"
 COPY_SEARCH = "copy search"
 ENUMERATION = "enumeration"
 PLAN = "plan"
+DEGREE = "degree queries"
 # layers timed as fresh processes, by wall time
 IMPORT = "import"
 PROCESS = "process"
 # layers whose inputs an untimed run builds first, and that run no cover
-PREPARED = (TWINS, COPY_SEARCH, ENUMERATION)
+PREPARED = (TWINS, COPY_SEARCH, ENUMERATION, DEGREE)
 K222 = complete_k_partite((2, 2, 2)).graph
 K111 = complete_k_partite((1, 1, 1)).graph
 K112 = complete_k_partite((1, 1, 2)).graph
@@ -349,6 +359,11 @@ ROWS = {
     "plan-sparse14": (PLAN, "contains_copy(complete_k_partite((6, 6, 6)), build(3, 14, [(0, 1, 2)]))"
                             " with an empty plan cache",
                       lambda: _fresh_plan_copy(K666, SPARSE14)),
+    # The pair codegrees of the product-graph-free claim, with the link
+    # table built inside the timing.
+    "codegree-fieldprod11": (DEGREE, "field_product_graph(11).graph.min_s_degree(2)"
+                                     " after solver._links.cache_clear()",
+                             lambda: _cold_min_codegree(_field_product_host(11))),
     "cli-import": (IMPORT, 'python -c "import hypertile.cli"', _cli_import),
     "cli-command": (PROCESS, f"python -m hypertile.cli probe connectors <{RANDOM14}>"
                              " --pattern <K(1,1,1)> -x 0 -y 1 -i 1",
@@ -460,7 +475,7 @@ def measure(name: str, repeat: int) -> dict:
                     "reference_s": reference}
             if layer == CHECKERS:
                 best["search_nodes"] = nodes
-            elif layer not in (TWINS, COPY_SEARCH, PLAN):
+            elif layer not in (TWINS, COPY_SEARCH, PLAN, DEGREE):
                 best["enumeration_s"] = round(clock.enumeration, 3)
             if layer == "tiling":
                 best["cover_s"] = round(clock.tiling - clock.enumeration, 3)

@@ -92,6 +92,8 @@ class Hypergraph:
         """Number of edges containing every vertex of `s_set`.
 
         For |S| = k this is edge membership (0 or 1).  |S| > k is an error.
+        For |S| = k-1 it is the size of S's link in the solver's link
+        table of the graph, built on first use and cached.
         """
         s = vertex_set(s_set)
         self._check_vertices(s)
@@ -99,18 +101,29 @@ class Hypergraph:
             raise ValidationError(f"degree set has {len(s)} vertices, uniformity is {self.k}")
         if len(s) == self.k:
             return 1 if s in self._edge_set else 0
+        if len(s) == self.k - 1:
+            from .solver import _links
+            return _links(self).get(sum(1 << v for v in s), 0).bit_count()
         ss = set(s)
         return sum(1 for e in self.edges if ss.issubset(e))
 
     def min_s_degree(self, s: int) -> int:
         """Minimum degree over all s-subsets of the vertex set (exact).
 
-        Counts every s-subset, including those lying in no edge.
+        Counts every s-subset, including those lying in no edge.  For
+        s = k-1 it reads the solver's link table, which holds only the
+        (k-1)-sets in some edge: fewer than C(n, k-1) keys means 0.
         """
         if s < 0 or s >= self.k:
             raise ValidationError(f"s must be in 0..{self.k - 1}, got {s}")
         if self.n < s:
             raise ValidationError(f"graph has {self.n} vertices, fewer than s = {s}")
+        if s == self.k - 1:
+            from .solver import _links
+            links = _links(self)
+            if len(links) < math.comb(self.n, s):
+                return 0
+            return min(link.bit_count() for link in links.values())
         counts: Counter[VertexSet] = Counter()
         for e in self.edges:
             for sub in itertools.combinations(e, s):

@@ -11,7 +11,6 @@ import functools
 import itertools
 import random
 import time
-from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -255,8 +254,7 @@ def _claim_mirrored_free(budget: int | None) -> tuple[bool, dict]:
         base = set(c.part("base"))
         free = contains_copy(g, pattern) is None
         sides_ok = all(sum(1 for v in e if v in base) == 2 for e in g.edges)
-        codegree = Counter(p for e in g.edges for p in itertools.combinations(e, 2))
-        mixed_min = min((codegree[min(u, w), max(u, w)] for u in c.part("base")
+        mixed_min = min((g.degree((u, w)) for u in c.part("base")
                          for w in c.part("mirror")), default=0)
         per_q[str(q)] = {
             "vertices": g.n,

@@ -19,7 +19,9 @@ first otherwise), the candidates for the next one are the free vertices
 ANDed with the host's link bitset of every (k-1)-set it closes, and twins
 and equal blocks (parts of equal size, leaf groups) take increasing images.
 Candidates are tried in increasing order, so embeddings come in
-lexicographic order, read in the placement order.  Each pattern's plan is
+lexicographic order, read in the placement order.  A position stops once
+fewer candidates are left than the rest of its twin class needs (its
+room), which cuts only empty subtrees.  Each pattern's plan is
 compiled once into nested loops, one per position, and each link lookup
 sits at the depth where its (k-1)-set's last vertex lands, so it is made
 once for all the positions that close the set.  `contains_copy` returns
@@ -110,6 +112,7 @@ class _Plan(NamedTuple):
     order: tuple[int, ...]                # placement order of the pattern vertices
     twin: tuple[int, ...]                 # per position: the earlier position whose image it
                                           # must exceed (a twin or an equal block), or -1
+    room: tuple[int, ...]                 # per position: positions from it on in its twin class
     kernel: Callable[..., bool]           # the search, compiled (`_compile`)
 
 
@@ -181,6 +184,9 @@ def _generic_order(pattern: Hypergraph) -> tuple[int, ...]:
 
 @lru_cache(maxsize=256)
 def _plan(pattern: Hypergraph) -> _Plan:
+    """The pattern's placement order, twin bounds, room and compiled search.
+    `room` counts twins, not the `twin` chain: a block's first vertex is no
+    twin of the block before it, and has other candidates."""
     parts = _partite_parts(pattern)
     blocks = parts or ()
     if parts is not None:
@@ -205,7 +211,8 @@ def _plan(pattern: Hypergraph) -> _Plan:
     for prev, block in zip(blocks, blocks[1:]):
         if len(prev) == len(block):
             twin[position[block[0]]] = position[prev[0]]
-    return _Plan(order, tuple(twin), _compile(order, pattern.edges, twin))
+    room = tuple(sum(mates[v] >> u & 1 for u in order[i:]) for i, v in enumerate(order))
+    return _Plan(order, tuple(twin), room, _compile(order, pattern.edges, twin, room))
 
 
 # CPython nests at most 20 blocks statically in one function.
@@ -213,7 +220,7 @@ _LOOPS_PER_KERNEL = 19
 
 
 def _compile(order: Sequence[int], edges: Sequence[VertexSet],
-             twin: Sequence[int]) -> Callable[..., bool]:
+             twin: Sequence[int], room: Sequence[int]) -> Callable[..., bool]:
     """The plan's search as nested loops, compiled once per plan:
     `kernel(link, leaf, bits, everything)` runs `_place`'s search.  An edge
     is checked at the position of its last vertex in `order`, which closes
@@ -221,6 +228,11 @@ def _compile(order: Sequence[int], edges: Sequence[VertexSet],
 
     Each position p but the last has a `while` loop over its candidates
     `c{p}`, taking the image bit `b{p}` and leaving the free mask `f{p+1}`.
+    The loop ends once fewer than `room[p] - 1` candidates are left after
+    `b{p}`.  That is exact: swapping p's vertex with a later twin maps each
+    edge closing at p to one through the twin, so the twin meets the same
+    links, goes above `b{p}` and sees a smaller free mask; the later twins
+    need distinct images in what is left of `c{p}`, which only shrinks.
     The link of each (k-1)-set that a later position closes is looked up
     once, in the loop of the set's own last position, and ANDed into that
     later position's pending mask (`m{q}_{p}`, or the lookup `k{p}_{i}`
@@ -252,8 +264,12 @@ def _compile(order: Sequence[int], edges: Sequence[VertexSet],
             break
         src += [f"{pad}while c{p}:",
                 f"{pad}    b{p} = c{p} & -c{p}",
-                f"{pad}    c{p} ^= b{p}",
-                f"{pad}    bits[{v}] = b{p}",
+                f"{pad}    c{p} ^= b{p}"]
+        if room[p] == 2:
+            src += [f"{pad}    if not c{p}:", f"{pad}        break"]
+        elif room[p] > 2:
+            src += [f"{pad}    if c{p}.bit_count() < {room[p] - 1}:", f"{pad}        break"]
+        src += [f"{pad}    bits[{v}] = b{p}",
                 f"{pad}    f{p + 1} = f{p} ^ b{p}"]
         pad += "    "
         for i, (at, targets) in enumerate(closing[p].items()):
@@ -366,8 +382,9 @@ def _place(host: Hypergraph, pattern: Hypergraph,
     The plan is compiled to nested loops, one per position (`_compile`),
     and each link lookup sits in the loop where its (k-1)-set's last vertex
     lands, so it is made once for every position that closes the set, and
-    an empty link ends the candidate there.  A pattern with more vertices
-    than the host has no placement, and the search is not run.
+    an empty link ends the candidate there, as too few candidates for the
+    rest of a twin class (`room`) end the loop.  A pattern with more
+    vertices than the host has no placement, and the search is not run.
     """
     if pattern.n <= host.n:
         _plan(pattern).kernel(_links(host).get, leaf, [0] * pattern.n, (1 << host.n) - 1)

@@ -2,11 +2,11 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from conftest import hypergraphs
-from hypertile import Hypergraph, Partition, build, vertex_set
+from hypertile import Hypergraph, Partition, build, solver, vertex_set
 from hypertile.errors import ValidationError
 
 
@@ -48,17 +48,63 @@ def test_with_edges():
     assert g.edges == ((0, 1, 2),)  # original untouched
 
 
-@given(hypergraphs(max_n=7))
+# k = 2, 3 and 4, so s = k-1 (read from the link table) meets each
+# uniformity; the examples leave a (k-1)-set in no edge
+DEGREE_HOSTS = hypergraphs(max_n=7) | hypergraphs(k=2, max_n=7) | hypergraphs(k=4, max_n=7)
+UNCOVERED = (build(2, 3, [(0, 1)]), build(3, 4, [(0, 1, 2), (1, 2, 3)]),
+             build(4, 5, [(0, 1, 2, 3), (0, 1, 2, 4)]))
+
+
+def _with_uncovered(test):
+    for g in UNCOVERED:
+        test = example(g)(test)
+    return test
+
+
+@_with_uncovered
+@given(DEGREE_HOSTS)
 def test_degree_matches_brute_force(g):
-    for s in (1, 2):
+    for s in range(1, g.k):
         for sub in itertools.combinations(range(g.n), s):
             assert g.degree(sub) == oracles.codegree(g.n, g.edges, sub)
 
 
-@given(hypergraphs(max_n=7))
+@_with_uncovered
+@given(DEGREE_HOSTS)
 def test_min_s_degree_matches_brute_force(g):
-    for s in (1, 2):
+    for s in range(1, g.k):
         assert g.min_s_degree(s) == oracles.min_codegree(g.n, g.edges, s)
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_codegrees_on_k_minus_one_vertices(k):
+    g = build(k, k - 1, [])
+    assert g.min_s_degree(k - 1) == 0
+    assert g.degree(range(k - 1)) == 0
+
+
+@pytest.mark.parametrize("g", [
+    *UNCOVERED,
+    build(2, 4, itertools.combinations(range(4), 2)),
+    build(3, 6, [e for e in itertools.combinations(range(6), 3) if sum(e) % 3]),
+    build(4, 6, itertools.combinations(range(6), 4)),
+], ids=lambda g: f"k{g.k}-n{g.n}-e{g.edge_count}")
+def test_codegrees_read_a_cold_or_a_warm_link_table(g):
+    # cold: the first query builds the table; warm: contains_copy built it
+    expected = ([oracles.codegree(g.n, g.edges, sub)
+                 for sub in itertools.combinations(range(g.n), g.k - 1)],
+                oracles.min_codegree(g.n, g.edges, g.k - 1))
+    edge = build(g.k, g.k, [range(g.k)])
+    solver._plan(edge)                  # its twin classes read the edge's own links
+    for warm in (False, True):
+        solver._links.cache_clear()
+        if warm:
+            solver.contains_copy(g, edge)
+        assert solver._links.cache_info().misses == warm
+        got = ([g.degree(sub) for sub in itertools.combinations(range(g.n), g.k - 1)],
+               g.min_s_degree(g.k - 1))
+        assert got == expected
+        assert solver._links.cache_info().misses == 1
 
 
 @given(hypergraphs(max_n=7))

@@ -30,9 +30,9 @@ RECORDS = [
     (CopySetEnumeration(((0, 1, 2),), {(0, 1, 2): EMB}),
      ("sets", "witnesses"),
      "CopySetEnumeration(sets=((0, 1, 2),), witnesses={(0, 1, 2): Embedding(images=(0, 1, 2))})"),
-    (_Plan((0, 1, 2), (-1, 0, 1), None),
-     ("order", "twin", "kernel"),
-     "_Plan(order=(0, 1, 2), twin=(-1, 0, 1), kernel=None)"),
+    (_Plan((0, 1, 2), (-1, 0, 1), (3, 2, 1), None),
+     ("order", "twin", "room", "kernel"),
+     "_Plan(order=(0, 1, 2), twin=(-1, 0, 1), room=(3, 2, 1), kernel=None)"),
     (RobustVectorReport({(1, 2): 3}, ((1, 2),), Fraction(1, 2), 2),
      ("counts", "robust", "mu", "parts"),
      "RobustVectorReport(counts={(1, 2): 3}, robust=((1, 2),), mu=Fraction(1, 2), parts=2)"),

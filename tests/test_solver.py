@@ -658,10 +658,13 @@ def _reached(host, pattern):
        extra=st.integers(0, 2), p=st.sampled_from((0.5, 0.8, 1.0)),
        seed=st.integers(0, 2 ** 16))
 def test_random_patterns_match_the_oracles(pattern, extra, p, seed):
+    _assert_oracle_answers(_random_host(pattern.k, min(pattern.n + extra, 7), p, seed), pattern)
+
+
+def _assert_oracle_answers(host, pattern):
     # the compiled search reaches the oracle's embeddings, in its order, so
     # the copy sets, their witnesses and the first copy follow
     plan = solver._plan(pattern)
-    host = _random_host(pattern.k, min(pattern.n + extra, 7), p, seed)
     assert _reached(host, pattern) == oracles.ordered_embeddings(
         host.n, host.edges, pattern.edges, plan.order, plan.twin)
     enum = enumerate_copy_sets(host, pattern)
@@ -702,6 +705,93 @@ def test_plans_past_the_nesting_limit(pattern, host, copy, count):
     enum = enumerate_copy_sets(host, pattern)
     assert len(enum.sets) == count
     assert enum.witnesses[enum.sets[0]].images == copy
+
+
+def _oracle_room(pattern):
+    """Per position of the plan's order: the positions from it on whose
+    vertex is an oracle twin of its own (itself included)."""
+    order = solver._plan(pattern).order
+    classes = oracles.twin_classes(pattern.n, pattern.edges)
+    return tuple(sum(1 for u in order[i:] if any(c >> v & 1 and c >> u & 1 for c in classes))
+                 for i, v in enumerate(order))
+
+
+@st.composite
+def equal_partite(draw, max_n=7):
+    """A complete k-partite pattern whose k parts have one size."""
+    k = draw(st.integers(2, 4))
+    return complete_k_partite([draw(st.integers(1, max_n // k))] * k).graph
+
+
+@st.composite
+def kst_shapes(draw, max_n=7):
+    """A K_{s,t} shape of uniformity 2, 3 or 4 on shuffled vertices."""
+    k = draw(st.integers(2, 4))
+    t = draw(st.integers(1, (max_n - 1) // (k - 1)))
+    s = draw(st.integers(1, max_n - t * (k - 1)))
+    return _shuffled(k_st(k, s, t).graph, draw(st.integers(0, 2 ** 16)))
+
+
+# patterns whose twin classes span several positions: complete partite with
+# equal and unequal parts, K_{s,t} shapes and blow-ups
+ROOM_PATTERNS = partite_patterns() | equal_partite() | kst_shapes() | blow_ups(max_n=7)
+
+
+@settings(max_examples=200)
+@example(K222)
+@example(C4)
+@example(k_st(3, 2, 3).graph)
+@example(complete_k_partite((1, 1, 2, 2)).graph)
+@example(complete_k_partite((3, 5, 7)).graph)
+@example(K777)
+@given(ROOM_PATTERNS)
+def test_plan_room_counts_the_oracle_twin_class(pattern):
+    assert solver._plan(pattern).room == _oracle_room(pattern)
+
+
+@st.composite
+def room_cases(draw):
+    """(pattern, host): a pattern of at most 7 vertices from ROOM_PATTERNS
+    and a host of at most 7, dense enough for the room cut to act: random
+    with edge probability 0.8 or 1, or complete partite with as many parts
+    as the pattern's uniformity, shuffled."""
+    pattern = draw(ROOM_PATTERNS)
+    n = draw(st.integers(pattern.n, 7))
+    if draw(st.booleans()):
+        return pattern, _random_host(pattern.k, n, draw(st.sampled_from((0.8, 1.0))),
+                                     draw(st.integers(0, 2 ** 16)))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=pattern.k - 1,
+                                max_size=pattern.k - 1, unique=True)))
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    return pattern, _shuffled(complete_k_partite(sizes).graph, draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=150)
+@example((K222, complete_k_partite((2, 2, 3)).graph))
+@example((complete_k_partite((1, 2, 3)).graph, complete_k_partite((2, 2, 3)).graph))
+@example((C4, complete_3graph(7)))
+@given(room_cases())
+def test_room_cut_keeps_the_oracle_answers(case):
+    pattern, host = case
+    _assert_oracle_answers(host, pattern)
+
+
+def test_room_cut_ends_k777_early(monkeypatch):
+    # The cut changes no answer, so count the link lookups: without it the
+    # embedder tries every image of a part's first vertex to the last round.
+    links = solver._links
+
+    class Counted(dict):
+        lookups = 0
+
+        def get(self, key, default=None):
+            Counted.lookups += 1
+            return super().get(key, default)
+
+    monkeypatch.setattr(solver, "_links", lambda host: Counted(links(host)))
+    assert len(enumerate_copy_sets(K777, K777).sets) == 1
+    # 339 lookups, against 1,881,516 with no cut; the bound is 1.1 times the count
+    assert Counted.lookups <= 372
 
 
 @st.composite

@@ -40,6 +40,17 @@ The "degree queries" row times one `min_s_degree(2)` with the solver's
 link tables emptied before each run (`solver._links.cache_clear()`), so it
 counts the build of the host's link table, which the codegrees read; an
 untimed run before the timed ones builds the host.  It has no split.
+The "census" row times the sigma census of the threshold claim of
+`hypertile verify` (`experiments.three_partite_sigma_census`, n = 3..6) and
+the "construction" row the edges of `field_product_graph(13)` with their
+cache emptied before each run (`constructions._product_graph_edges`); an
+untimed run before the timed ones builds the triple lists and the field
+tables they read.  They have no split.  The `probe-exactness` row runs the
+probe-exactness claim of `hypertile verify --seed 1`: 438 connector probes
+over 20 hosts, with a robust-vector count and a goodness check per host.
+The other probe rows empty the copy-set table that connector probes keep
+for their last host (`probes._connector_table`) before each run, so each
+run times a probe that builds its table.
 The "plan" row times one `contains_copy` with the solver's plan cache
 emptied before each run, so it counts the pattern's analysis and compile
 (`solver._plan`) with the search; it has no split and runs no cover.
@@ -84,8 +95,8 @@ import tempfile
 import time
 
 import hypertile
-from hypertile import (barrier_graph, build, cli, complete_k_partite, experiments,
-                       field_product_graph, hgio, k_st, probes, solver)
+from hypertile import (barrier_graph, build, cli, complete_k_partite, constructions,
+                       experiments, field_product_graph, hgio, k_st, probes, solver)
 
 invariants_module = sys.modules["hypertile.invariants"]
 
@@ -135,7 +146,22 @@ def _complete_host(n: int):
     return build(3, n, itertools.combinations(range(n), 3))
 
 
+def _forget_connector_table():
+    """Empty the copy-set table that connector probes keep for their last
+    host, in a revision that keeps one, so that a probe row times a cold
+    probe in every run."""
+    kept = getattr(probes, "_connector_table", None)
+    if kept is not None:
+        kept.cache_clear()
+
+
+def _connectors(host, pattern, i):
+    _forget_connector_table()
+    return {"count": probes.count_connectors(host, pattern, 0, 1, i)}
+
+
 def _probe_close(host, pattern):
+    _forget_connector_table()
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, name) for name in ("host.hg", "pattern.hg")]
         hgio.save_hg(host, paths[0])
@@ -254,6 +280,27 @@ def _cold_min_codegree(host):
     return {"min_codegree": host.min_s_degree(2)}
 
 
+def _census_build():
+    """The census sizes, and per order the sum of each graph's mask times its
+    smallest class (n * sigma): a digest that costs less than the census."""
+    census = {n: experiments.three_partite_sigma_census(n) for n in range(3, 7)}
+    return {"graphs": sum(map(len, census.values())),
+            "mask_by_smallest_class": [sum(mask * (n * s.numerator // s.denominator)
+                                           for mask, s in c.items())
+                                       for n, c in census.items()]}
+
+
+def _fresh_product_edges(q):
+    constructions._product_graph_edges.cache_clear()
+    edges = constructions._product_graph_edges(q)
+    return {"edges": len(edges), "edges_sha256": hashlib.sha256(repr(edges).encode()).hexdigest()}
+
+
+def _probe_claim(seed):
+    ok, details = experiments._claim_probe_exactness(seed, None)
+    return {"passed": ok, **details}
+
+
 def _twin_class_sizes(host):
     return {"class_sizes": [c.bit_count() for c in solver._twin_classes(host)]}
 
@@ -271,11 +318,13 @@ COPY_SEARCH = "copy search"
 ENUMERATION = "enumeration"
 PLAN = "plan"
 DEGREE = "degree queries"
+CENSUS = "census"
+CONSTRUCTION = "construction"
 # layers timed as fresh processes, by wall time
 IMPORT = "import"
 PROCESS = "process"
 # layers whose inputs an untimed run builds first, and that run no cover
-PREPARED = (TWINS, COPY_SEARCH, ENUMERATION, DEGREE)
+PREPARED = (TWINS, COPY_SEARCH, ENUMERATION, DEGREE, CENSUS, CONSTRUCTION)
 K222 = complete_k_partite((2, 2, 2)).graph
 K111 = complete_k_partite((1, 1, 1)).graph
 K112 = complete_k_partite((1, 1, 2)).graph
@@ -326,7 +375,7 @@ ROWS = {
                       lambda: _max(_planted_host(0, 20, 0.3), K112)),
     "connectors14-k112-i2": (
         "probe", f"count_connectors({RANDOM14}, complete_k_partite((1, 1, 2)), 0, 1, 2)",
-        lambda: {"count": probes.count_connectors(_random_host(0, 14, 0.5), K112, 0, 1, 2)}),
+        lambda: _connectors(_random_host(0, 14, 0.5), K112, 2)),
     "close14-k111-i2": (
         "probe", f"hypertile probe close <{RANDOM14}> --pattern <K(1,1,1)> -x 0 -y 1 -i 2"
                  " --eta 1/1000",
@@ -334,10 +383,13 @@ ROWS = {
     # Large hosts at i = 1: C(n-2, 2) candidates against one C(n, 3) enumeration.
     "connectors100-k111-i1": (
         "probe", f"count_connectors({DENSE100}, complete_k_partite((1, 1, 1)), 0, 1, 1)",
-        lambda: {"count": probes.count_connectors(_random_host(0, 100, 0.5), K111, 0, 1, 1)}),
+        lambda: _connectors(_random_host(0, 100, 0.5), K111, 1)),
+    # One table per host serves every pair's probe.
+    "probe-exactness": ("probe", "experiments._claim_probe_exactness(1, None)",
+                        lambda: _probe_claim(1)),
     "connectors100sparse-k111-i1": (
         "probe", f"count_connectors({SPARSE100}, complete_k_partite((1, 1, 1)), 0, 1, 1)",
-        lambda: {"count": probes.count_connectors(_random_host(0, 100, 0.002), K111, 0, 1, 1)}),
+        lambda: _connectors(_random_host(0, 100, 0.002), K111, 1)),
     # n = 192, two classes: the size of the quotient decision's hosts.
     "twins-barrier9795": (TWINS, "solver._twin_classes(barrier_graph(97, 95))",
                           lambda: _twin_class_sizes(_barrier_host(97, 95))),
@@ -364,6 +416,13 @@ ROWS = {
     "codegree-fieldprod11": (DEGREE, "field_product_graph(11).graph.min_s_degree(2)"
                                      " after solver._links.cache_clear()",
                              lambda: _cold_min_codegree(_field_product_host(11))),
+    # The threshold claim's reference sigmas, 4,666 graphs at n = 6.
+    "sigma-census-build": (CENSUS, "experiments.three_partite_sigma_census(n) for n = 3..6",
+                           _census_build),
+    # 144 vertices, 37,224 edges.
+    "fieldprod13-edges": (CONSTRUCTION, "constructions._product_graph_edges(13)"
+                                        " after its cache_clear()",
+                          lambda: _fresh_product_edges(13)),
     "cli-import": (IMPORT, 'python -c "import hypertile.cli"', _cli_import),
     "cli-command": (PROCESS, f"python -m hypertile.cli probe connectors <{RANDOM14}>"
                              " --pattern <K(1,1,1)> -x 0 -y 1 -i 1",
@@ -475,7 +534,7 @@ def measure(name: str, repeat: int) -> dict:
                     "reference_s": reference}
             if layer == CHECKERS:
                 best["search_nodes"] = nodes
-            elif layer not in (TWINS, COPY_SEARCH, PLAN, DEGREE):
+            elif layer not in (TWINS, COPY_SEARCH, PLAN, DEGREE, CENSUS, CONSTRUCTION):
                 best["enumeration_s"] = round(clock.enumeration, 3)
             if layer == "tiling":
                 best["cover_s"] = round(clock.tiling - clock.enumeration, 3)

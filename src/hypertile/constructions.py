@@ -166,23 +166,33 @@ def _tables(q: int) -> tuple[list[list[int]], list[list[int]]]:
 
 @lru_cache(maxsize=None)
 def _product_graph_edges(q: int) -> tuple[tuple[int, int, int], ...]:
-    """Edges of the product-identity graph by exhaustive triple check.
+    """Edges of the product-identity graph, solved pair by pair.
 
     Vertex v <-> the pair (x, y) of nonzero elements with indices
     x = v // (q-1) + 1 and y = v % (q-1) + 1 (row-major over the canonical
     element order).  A 3-set is an edge iff the product of the first
-    components plus the product of the second components equals one.
+    components plus the product of the second components equals one.  For a
+    pair u < v with first product a and second product b, each first
+    component f of a third vertex w fixes its second, (1 - a*f) / b, which
+    is a vertex when it is nonzero; w > v needs f at least v's first
+    component, and w grows with f, so the edges come in lexicographic order.
     """
     add, mul = _tables(q)
     m = q - 1
+    one_minus = [row.index(1) for row in add]          # index of 1 - x
+    inverse = [0] + [row.index(1) for row in mul[1:]]
     first = [v // m + 1 for v in range(m * m)]
     second = [v % m + 1 for v in range(m * m)]
     edges = []
-    for u, v, w in itertools.combinations(range(m * m), 3):
-        f = mul[mul[first[u]][first[v]]][first[w]]
-        s = mul[mul[second[u]][second[v]]][second[w]]
-        if add[f][s] == 1:
-            edges.append((u, v, w))
+    for u, v in itertools.combinations(range(m * m), 2):
+        times_a = mul[mul[first[u]][first[v]]]
+        over_b = mul[inverse[mul[second[u]][second[v]]]]
+        for f in range(first[v], q):
+            s = over_b[one_minus[times_a[f]]]
+            if s:
+                w = (f - 1) * m + s - 1
+                if w > v:
+                    edges.append((u, v, w))
     return tuple(edges)
 
 

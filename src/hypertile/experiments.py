@@ -179,7 +179,10 @@ def three_partite_sigma_census(n: int) -> dict[int, Fraction]:
     relative class size over all of its proper 3-partitions.
 
     Graphs are encoded as bitmasks over the lexicographic triple list. This is
-    a from-scratch coloring scan, independent of the realisation backtracker.
+    a from-scratch coloring scan, independent of the realisation backtracker:
+    the colorings are walked once, by increasing smallest class, and each
+    submask of a coloring's edge mask takes that coloring's sigma the first
+    time it is reached, which is its least.
     """
     triples = _triples(n)
     colorings: list[tuple[int, int]] = []
@@ -188,24 +191,16 @@ def three_partite_sigma_census(n: int) -> dict[int, Fraction]:
         for idx, (a, b, c) in enumerate(triples):
             if len({labels[a], labels[b], labels[c]}) == 3:
                 mask |= 1 << idx
-        sizes = [labels.count(c) for c in range(3)]
-        colorings.append((mask, min(sizes)))
-    graphs: set[int] = set()
-    for mask, _ in colorings:
-        sub = mask
-        while True:
-            graphs.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
+        colorings.append((min(labels.count(c) for c in range(3)), mask))
     census: dict[int, Fraction] = {}
-    for gm in graphs:
-        best: int | None = None
-        for mask, smallest in colorings:
-            if gm & ~mask == 0 and (best is None or smallest < best):
-                best = smallest
-        assert best is not None
-        census[gm] = Fraction(best, n)
+    reach = census.setdefault
+    for smallest, mask in sorted(colorings):
+        sigma = Fraction(smallest, n)
+        sub = mask
+        while sub:
+            reach(sub, sigma)
+            sub = (sub - 1) & mask
+        reach(0, sigma)
     return census
 
 

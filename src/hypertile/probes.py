@@ -5,8 +5,9 @@ closeness, robust copy distributions, lattice transferrals, goodness, and
 extremal witnesses) are evaluated here literally on a concrete host graph:
 thresholds like eta * n^(ti-1) are compared in exact rational arithmetic,
 and every count comes from exhaustive enumeration under the budget guard.
-Connector probes enumerate the host's copy sets once; whether H[S + x]
-tiles is decided by the exact cover restricted to the vertex mask of S + x.
+Connector probes build one copy-set table per host, kept for the next probe
+of the same host and pattern; whether H[S + x] tiles is decided by the
+exact cover restricted to the vertex mask of S + x.
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .budget import charge
 from .core import Hypergraph, Partition, TypeVector
 from .errors import ValidationError
 # has_perfect_tiling stays bound here because hbench's tracer self-test reads it.
-from .solver import _exact_cover_first, _table, enumerate_copy_sets, has_perfect_tiling
+from .solver import (_check_pair, _copy_masks, _exact_cover_first, _Table, _table,
+                     enumerate_copy_sets, has_perfect_tiling)
 
 
 def _connector_size(host: Hypergraph, pattern: Hypergraph, i: int) -> int:
@@ -51,8 +54,11 @@ def count_connectors(host: Hypergraph, pattern: Hypergraph, x: int, y: int,
 
     A connector is a set S disjoint from {x, y} with |S| = |V(F)|*i - 1
     such that both H[S + {x}] and H[S + {y}] admit perfect pattern tilings,
-    decided per vertex mask over one copy-set table of the host.  The budget
-    is charged for the C(n-2, |S|) candidates and for that one enumeration.
+    decided per vertex mask over one copy-set table of the host.  Every call
+    charges the budget for the C(n-2, |S|) candidates and for the C(n, t)
+    of that table's enumeration, also when the table is the one the last
+    call built (`_connector_table`), so no answer and no budget error
+    depends on earlier calls.
     """
     if x == y:
         raise ValidationError("connector endpoints must differ")
@@ -61,7 +67,9 @@ def count_connectors(host: Hypergraph, pattern: Hypergraph, x: int, y: int,
             raise ValidationError(f"vertex {v} out of range 0..{host.n - 1}")
     size = _connector_size(host, pattern, i)
     charge(math.comb(host.n - 2, size), budget, "connector enumeration")
-    table = _table(host.n, enumerate_copy_sets(host, pattern, budget=budget).sets)
+    _check_pair(host, pattern)
+    charge(math.comb(host.n, pattern.n), budget, "copy-set enumeration")
+    table = _connector_table(host, pattern)
 
     def tiles(target: int) -> bool:
         return _exact_cover_first(table, target) is not None
@@ -69,6 +77,15 @@ def count_connectors(host: Hypergraph, pattern: Hypergraph, x: int, y: int,
     others = [1 << v for v in range(host.n) if v != x and v != y]
     return sum(1 for s in itertools.combinations(others, size)
                if tiles(sum(s) | 1 << x) and tiles(sum(s) | 1 << y))
+
+
+@lru_cache(maxsize=1)
+def _connector_table(host: Hypergraph, pattern: Hypergraph) -> _Table:
+    """The table of the host's copy sets, in lexicographic order, for the
+    connector probes.  It charges nothing: `count_connectors` charges every
+    call, with the caller's budget."""
+    return _table(host.n, sorted(tuple(sorted(images))
+                                 for images in _copy_masks(host, pattern).values()))
 
 
 class RobustVectorReport(NamedTuple):

@@ -305,13 +305,16 @@ def _links(host: Hypergraph) -> dict[int, int]:
     """Bitmask of each (k-1)-set (one that lies in an edge) to the bitmask
     of the vertices that complete it to an edge."""
     links: dict[int, int] = {}
+    get = links.get
+    bits = [1 << v for v in range(host.n)]
     for e in host.edges:
         full = 0
         for v in e:
-            full |= 1 << v
+            full |= bits[v]
         for v in e:
-            key = full ^ (1 << v)
-            links[key] = links.get(key, 0) | (1 << v)
+            bit = bits[v]
+            key = full ^ bit
+            links[key] = get(key, 0) | bit
     return links
 
 

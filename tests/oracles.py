@@ -28,6 +28,19 @@ def min_codegree(n: int, edges, s: int) -> int:
     return min(codegree(n, edges, sub) for sub in subs)
 
 
+def links(n: int, k: int, edges) -> dict:
+    """Each (k-1)-subset of range(n) that some edge contains, as a vertex
+    bitmask, to the bitmask of the vertices that complete it to an edge."""
+    eset = {frozenset(e) for e in edges}
+    out = {}
+    for sub in itertools.combinations(range(n), k - 1):
+        completions = sum(1 << v for v in range(n)
+                          if v not in sub and frozenset(sub + (v,)) in eset)
+        if completions:
+            out[sum(1 << v for v in sub)] = completions
+    return out
+
+
 def rainbow_colorings(n: int, k: int, edges):
     """All surjective k-colorings of range(n) under which every edge is rainbow."""
     for assign in itertools.product(range(k), repeat=n):
@@ -93,6 +106,47 @@ def product_pair_degrees(q: int) -> dict:
             1 for w, (x, y) in enumerate(pts)
             if w != u and w != v and (a * x + b * y) % q == 1)
     return degrees
+
+
+def product_edges(q: int, poly=None) -> list:
+    """Edges of the field product 3-graph by scanning every triple.
+
+    The field is the integers mod q for a prime q.  For q = p^m pass the
+    monic reduction polynomial (coefficients ascending, leading 1 included):
+    element i is then the polynomial whose coefficients are the base-p
+    digits of i, lowest first.  Vertices are labelled as in product_vertex,
+    and {u, v, w} is an edge iff u1*v1*w1 + u2*v2*w2 = 1.
+    """
+    if poly is None:
+        p, m = q, 1
+    else:
+        m = len(poly) - 1
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+
+    def digits(a: int) -> list:
+        return [a // p ** i % p for i in range(m)]
+
+    def number(coeffs) -> int:
+        return sum(c % p * p ** i for i, c in enumerate(coeffs))
+
+    def times(a: int, b: int) -> int:
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for d in range(2 * m - 2, m - 1, -1):
+            top, prod[d] = prod[d], 0
+            for j in range(m):
+                prod[d - m + j] -= top * poly[j]
+        return number(prod[:m])
+
+    add = [[number(x + y for x, y in zip(digits(a), digits(b))) for b in range(q)]
+           for a in range(q)]
+    mul = [[times(a, b) for b in range(q)] for a in range(q)]
+    pts = [product_vertex(q, v) for v in range((q - 1) ** 2)]
+    return [(u, v, w) for u, v, w in itertools.combinations(range(len(pts)), 3)
+            if add[mul[mul[pts[u][0]][pts[v][0]]][pts[w][0]]]
+                  [mul[mul[pts[u][1]][pts[v][1]]][pts[w][1]]] == 1]
 
 
 def mirrored_mixed_degrees(q: int) -> dict:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from hypertile import (
     balanced_split,
     barrier_graph,
@@ -21,7 +22,9 @@ from hypertile import (
     parse_hg,
     write_hg,
 )
+from hypertile.constructions import _product_graph_edges
 from hypertile.errors import UnsupportedFieldError, ValidationError
+from hypertile.fields import REDUCTION_POLYS
 
 GOLDEN = Path(__file__).parent / "golden"
 K122 = complete_k_partite((1, 2, 2)).graph
@@ -116,6 +119,12 @@ def test_product_graph_structure():
     g7 = field_product_graph(7).graph
     assert g7.n == 36 and g7.edge_count == 990
     assert g7.min_s_degree(2) == 3
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13))
+def test_product_graph_edges_match_the_triple_scan(q):
+    # every odd order the field table supports up to 13, GF(9) included
+    assert _product_graph_edges(q) == tuple(oracles.product_edges(q, REDUCTION_POLYS.get(q)))
 
 
 def test_mirrored_graph_structure():

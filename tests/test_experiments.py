@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -86,6 +87,27 @@ def test_sigma_census_counts():
     expected = {3: 2, 4: 11, 5: 141, 6: 4666}
     for n, count in expected.items():
         assert len(three_partite_sigma_census(n)) == count
+
+
+def test_sigma_census_matches_the_coloring_oracle():
+    # every graph on n <= 5 vertices: a census entry exactly when some
+    # proper 3-coloring exists, with the oracle's sigma
+    for n in (3, 4, 5):
+        census = three_partite_sigma_census(n)
+        expected = {}
+        for mask in range(1 << len(experiments._triples(n))):
+            sigma = oracles.sigma_by_coloring(n, 3, edges_from_mask(n, mask))
+            if sigma is not None:
+                expected[mask] = sigma
+        assert census == expected
+    # n = 6, the first order with two sigmas (1/6 and 1/3): the graphs of at
+    # most two edges and a seeded sample of the rest of the census
+    census = three_partite_sigma_census(6)
+    masks = {sum(1 << i for i in edges) for size in range(3)
+             for edges in itertools.combinations(range(20), size)}
+    masks |= set(random.Random(0).sample(sorted(census), 150))
+    for mask in masks:
+        assert census.get(mask) == oracles.sigma_by_coloring(6, 3, edges_from_mask(6, mask))
 
 
 def test_sigma_census_agrees_with_invariants():

@@ -74,9 +74,34 @@ def test_connector_budget():
 def test_connector_budget_covers_one_host_enumeration():
     # At i = 1 the C(n, 3) = 84 host triples outweigh the C(n-2, 2) = 21
     # candidates, so the enumeration sets the smallest budget that runs.
+    # The second call, on an equal host, reads the table the first one
+    # built and is still charged its enumeration.
     assert count_connectors(K333, EDGE, 0, 1, 1, budget=84) == 9
     with pytest.raises(BudgetExceededError, match="copy-set enumeration"):
-        count_connectors(K333, EDGE, 0, 1, 1, budget=83)
+        count_connectors(build(3, 9, K333.edges), EDGE, 0, 1, 1, budget=83)
+
+
+def test_explicit_connector_budget_overrides_the_variable_on_a_new_table(monkeypatch):
+    probes._connector_table.cache_clear()
+    monkeypatch.setenv("HYPERTILE_BUDGET", "20")
+    assert count_connectors(K333, EDGE, 0, 1, 1, budget=84) == 9
+    with pytest.raises(BudgetExceededError, match="connector enumeration"):
+        count_connectors(K333, EDGE, 0, 1, 1)
+
+
+@settings(max_examples=40)
+@given(hypergraphs(min_n=5, max_n=7), hypergraphs(min_n=5, max_n=7))
+def test_connector_tables_follow_host_and_pattern(g, h):
+    # Calls alternate between two hosts, a host equal to the first but built
+    # apart, and two patterns, so each call either reads the kept table or
+    # replaces it.
+    twin = build(3, g.n, g.edges)
+    for x, y in itertools.combinations(range(4), 2):
+        for host in (g, h, twin):
+            assert count_connectors(host, EDGE, x, y, 1) == oracles.common_completions(
+                host.n, 3, host.edges, x, y)
+            assert count_connectors(host, K112, x, y, 1) == oracles.connector_count(
+                host.n, host.edges, K112.n, K112.edges, x, y, 1)
 
 
 @st.composite

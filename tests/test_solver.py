@@ -794,6 +794,11 @@ def test_room_cut_ends_k777_early(monkeypatch):
     assert Counted.lookups <= 372
 
 
+@given(st.integers(2, 4).flatmap(lambda k: hypergraphs(k=k, max_n=7)))
+def test_links_match_the_oracle(g):
+    assert solver._links(g) == oracles.links(g.n, g.k, g.edges)
+
+
 @st.composite
 def blow_up_covers(draw):
     """(g, pattern, target): a 3-graph blow-up, a pattern and a vertex mask,

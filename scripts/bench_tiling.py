@@ -20,11 +20,13 @@ cover, which calls `options_at` in `solver.py` once per node, counted with
 `sys.setprofile` in one extra run that is not timed, so a speed-up reads as
 fewer nodes or as cheaper ones.  The max packing runs as one loop with no
 call per node, so its nodes are not counted: `planted20-max` reads 0.
-The "verify checkers" rows time two searches of `hypertile verify` and
-give `search_nodes` in place of the split: the calls of `place` (the C4-free
-branch and bound in `experiments.py`) and `assign` (the realisation search
-in `invariants.py`), counted the same way in an untimed run before the timed
-ones, which also builds the census graphs outside the timing.
+The "verify checkers" rows time searches of `hypertile verify` and give
+`search_nodes` in place of the split: the calls of `place` (the C4-free
+branch and bound in `experiments.py`), counted the same way in an untimed
+run before the timed ones.  The realisation search in `invariants.py` is one
+loop with no call per node, so its rows (`sigma-census`,
+`invariants-sparse14`) read null; their untimed run builds the census graphs
+outside the timing.
 The "twin classes" row times the host twin-class search alone
 (`solver._twin_classes`) and has no split; one untimed run before the timed
 ones builds the host and the solver's link table for it (`solver._links`),
@@ -97,8 +99,6 @@ import time
 import hypertile
 from hypertile import (barrier_graph, build, cli, complete_k_partite, constructions,
                        experiments, field_product_graph, hgio, k_st, probes, solver)
-
-invariants_module = sys.modules["hypertile.invariants"]
 
 
 class _Clock:
@@ -312,6 +312,11 @@ def _sigma_census(graphs):
             "reports_sha256": hashlib.sha256(repr(reports).encode()).hexdigest()}
 
 
+def _invariant_report(pattern):
+    report = hypertile.invariants(pattern)
+    return {**report._asdict(), "sigma": str(report.sigma)}
+
+
 CHECKERS = "verify checkers"
 TWINS = "twin classes"
 COPY_SEARCH = "copy search"
@@ -324,7 +329,7 @@ CONSTRUCTION = "construction"
 IMPORT = "import"
 PROCESS = "process"
 # layers whose inputs an untimed run builds first, and that run no cover
-PREPARED = (TWINS, COPY_SEARCH, ENUMERATION, DEGREE, CENSUS, CONSTRUCTION)
+PREPARED = (CHECKERS, TWINS, COPY_SEARCH, ENUMERATION, DEGREE, CENSUS, CONSTRUCTION)
 K222 = complete_k_partite((2, 2, 2)).graph
 K111 = complete_k_partite((1, 1, 1)).graph
 K112 = complete_k_partite((1, 1, 2)).graph
@@ -432,6 +437,9 @@ ROWS = {
                  lambda: {"edges": experiments.four_cycle_free_max_edges(7)}),
     "sigma-census": (CHECKERS, "invariants(g) over the n = 3..6 sigma-census graphs",
                      lambda: _sigma_census(_census_graphs())),
+    # 3^11 realisations: one for the edge, times where 11 isolated vertices go.
+    "invariants-sparse14": (CHECKERS, "invariants(build(3, 14, [(0, 1, 2)]))",
+                            lambda: _invariant_report(SPARSE14)),
 }
 
 
@@ -468,9 +476,9 @@ def _package_meta() -> dict:
 
 
 SEARCHES = ("options_at",)
-# The node functions of the verify checkers: the C4-free branch and bound
-# and the realisation search.
-CHECKER_NODES = ("place", "assign")
+# The node function of each verify-checker row that has one in
+# `experiments.py`: the C4-free branch and bound.
+CHECKER_NODES = {"c4free-7": "place"}
 
 
 def _search_calls(run, names=SEARCHES, files=(solver.__file__,)) -> int:
@@ -509,10 +517,9 @@ def measure(name: str, repeat: int) -> dict:
                  for f in ("enumerate_copy_sets", "has_perfect_tiling", "max_tiling")
                  if hasattr(m, f)}
     nodes = None
-    if layer == CHECKERS:
+    if name in CHECKER_NODES:
         # Counted before the timed runs, which also builds a row's cached inputs.
-        nodes = _search_calls(run, CHECKER_NODES,
-                              (experiments.__file__, invariants_module.__file__))
+        nodes = _search_calls(run, (CHECKER_NODES[name],), (experiments.__file__,))
     elif layer in PREPARED:
         run()                   # builds the hosts, their link tables and the plan untimed
     best = None
@@ -544,7 +551,7 @@ def measure(name: str, repeat: int) -> dict:
             best["answer"] = {k: v for k, v in answer.items() if k != "copies"}
             best["answer_sha256"] = hashlib.sha256(
                 json.dumps(answer, sort_keys=True).encode()).hexdigest()
-    if layer not in (CHECKERS, PLAN, *PREPARED):
+    if layer not in (PLAN, *PREPARED):
         best["cover_calls"] = _search_calls(run)
     return {**best, **_package_meta()}
 

@@ -123,6 +123,11 @@ def four_cycle_free_max_edges(n: int) -> int:
     This one-sided test equals the codegree rule, which bumps codeg(x, u)
     for x in N(v) and codeg(y, v) for y in N(u): a new 4-cycle u-v-x-y
     pushes both codeg(x, u) and codeg(y, v) to 2, so either side sees it.
+
+    Vertex 0's neighbours are a prefix 1..d: once a pair (0, v) is left
+    out, the rest of vertex 0's pairs are skipped.  That is exact, since
+    relabelling 1..n-1 maps any C4-free graph to one with N(0) = {1..d}
+    and the same edge count.
     """
     if n < 0:
         raise ValidationError(f"vertex count must be nonnegative, got {n}")
@@ -149,7 +154,7 @@ def four_cycle_free_max_edges(n: int) -> int:
             place(i + 1, count + 1)
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
-        place(i + 1, count)
+        place(n - 1 if u == 0 else i + 1, count)
 
     place(0, 0)
     return best

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .core import Hypergraph, Partition
@@ -27,58 +28,90 @@ MAX_PATTERN_VERTICES = 14
 def realisations(pattern: Hypergraph) -> list[Partition]:
     """All partitions of V(F) into k nonempty transversal classes.
 
-    Deduplicated up to permutation of the classes: the search assigns class
-    labels in first-use order (restricted growth), so each unordered
-    partition appears exactly once.  Empty list iff F is not k-partite.
-    The search is the class-mask search of _class_masks; each result
-    becomes one Partition.
+    Deduplicated up to permutation of the classes: each appears once, its
+    classes ordered by least vertex, and the list is sorted.  Empty iff F
+    is not k-partite.  The search of _class_masks leaves the isolated
+    vertices of a pattern with edges out; each of its results is expanded
+    here by putting every isolated vertex in every class in turn.
     """
+    _check_order(pattern)
     n = pattern.n
-    return sorted((Partition([[v for v in range(n) if m >> v & 1] for m in masks], n)
-                   for masks in _class_masks(pattern)), key=lambda p: p.parts)
+    found, isolated = _class_masks(pattern)
+    for v in isolated:
+        found = [masks[:c] + (masks[c] | 1 << v,) + masks[c + 1:]
+                 for masks in found for c in range(pattern.k)]
+    return sorted((Partition([[v for v in range(n) if m >> v & 1]
+                              for m in sorted(masks, key=lambda m: m & -m)], n)
+                   for masks in found), key=lambda p: p.parts)
 
 
-def _class_masks(pattern: Hypergraph) -> list[tuple[int, ...]]:
-    """The realisations as k-tuples of class bitmasks, in search order.
+def _check_order(pattern: Hypergraph) -> None:
+    if pattern.n > MAX_PATTERN_VERTICES:
+        raise ValidationError(
+            f"pattern has {pattern.n} vertices; realisation enumeration is capped at "
+            f"{MAX_PATTERN_VERTICES}")
 
-    Vertex v may join class lab iff the class holds none of the earlier
-    vertices that share an edge with v (conflicts[v]).
+
+def _class_masks(pattern: Hypergraph) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The realisations of the vertices in some edge, as k-tuples of class
+    bitmasks in search order, and the isolated vertices left out.  An
+    edgeless pattern leaves none out: the search runs over all its vertices.
+
+    One loop over an explicit stack: the i-th searched vertex holds label
+    labels[i].  Labels are opened in first-use order (restricted growth),
+    so each unordered partition appears once, and a vertex may join a class
+    iff the class holds none of the vertices it shares an edge with.
     """
     k = pattern.k
-    n = pattern.n
-    if n > MAX_PATTERN_VERTICES:
-        raise ValidationError(
-            f"pattern has {n} vertices; realisation enumeration is capped at "
-            f"{MAX_PATTERN_VERTICES}")
-    if n < k:
-        return []
-    # For a k-uniform edge, "meets every class exactly once" means all k
-    # vertices get pairwise distinct labels.
-    conflicts = [0] * n
+    conflicts = [0] * pattern.n
     for e in pattern.edges:
-        for i, v in enumerate(e):
-            for u in e[:i]:
-                conflicts[v] |= 1 << u
+        full = 0
+        for v in e:
+            full |= 1 << v
+        for v in e:
+            conflicts[v] |= full
+    if pattern.edges:
+        searched = [v for v, c in enumerate(conflicts) if c]
+        isolated = [v for v, c in enumerate(conflicts) if not c]
+    else:
+        searched, isolated = list(range(pattern.n)), []
+    w = len(searched)
+    if w < k:
+        return [], isolated
+    bits = [1 << v for v in searched]
+    avoid = [conflicts[v] for v in searched]
     classes = [0] * k
     found: list[tuple[int, ...]] = []
-
-    def assign(v: int, used: int) -> None:
-        if v == n:
-            if used == k:
-                found.append(tuple(classes))
-            return
-        # Even giving every later vertex a new label cannot reach k classes.
-        if used + (n - v) < k:
-            return
-        bit = 1 << v
-        for lab in range(min(used + 1, k)):
-            if not classes[lab] & conflicts[v]:
-                classes[lab] |= bit
-                assign(v + 1, max(used, lab + 1))
-                classes[lab] ^= bit
-
-    assign(0, 0)
-    return found
+    labels = [-1] * w
+    opened = [0] * w                            # labels used before the i-th vertex
+    i = 0
+    while i >= 0:
+        lab = labels[i]
+        used = opened[i]
+        if lab >= 0:
+            classes[lab] ^= bits[i]
+        elif used + w - i < k:
+            # Even giving every later vertex a new label cannot reach k classes.
+            i -= 1
+            continue
+        top = used + 1 if used < k else k
+        lab += 1
+        while lab < top and classes[lab] & avoid[i]:
+            lab += 1
+        if lab == top:
+            labels[i] = -1
+            i -= 1
+            continue
+        labels[i] = lab
+        classes[lab] |= bits[i]
+        if lab == used:
+            used += 1
+        if i + 1 < w:
+            i += 1
+            opened[i] = used
+        elif used == k:
+            found.append(tuple(classes))
+    return found, isolated
 
 
 class InvariantReport(NamedTuple):
@@ -94,29 +127,63 @@ class InvariantReport(NamedTuple):
 
 
 def invariants(pattern: Hypergraph) -> InvariantReport:
-    """Compute the class-size invariants; raises NotKPartiteError if none exist."""
-    reals = _class_masks(pattern)
-    if not reals:
+    """Compute the class-size invariants; raises NotKPartiteError if none exist.
+
+    Isolated vertices are counted, not listed.  With an edge, the search of
+    _class_masks over the vertices in some edge already opens all k
+    classes, so the m isolated vertices go in any of them: k^m realisations
+    each, with the class sizes raised by every composition of m into k
+    parts.  An edgeless pattern with n >= k has the S(n, k) partitions into
+    k nonempty classes, whose sizes are 1 + a composition of n - k.  Only
+    the sorted class sizes of the search's results are kept, and each
+    difference is taken within one sorted size vector.
+    """
+    _check_order(pattern)
+    k = pattern.k
+    n = pattern.n
+    if pattern.edges:
+        found, isolated = _class_masks(pattern)
+        sizes = {tuple(sorted([m.bit_count() for m in masks])) for masks in found}
+        spare = len(isolated)
+        count = len(found) * k ** spare
+    elif n >= k:
+        sizes = {(1,) * k}
+        spare = n - k
+        count = sum((-1) ** j * math.comb(k, j) * (k - j) ** n
+                    for j in range(k + 1)) // math.factorial(k)
+    else:
+        sizes = set()
+    if not sizes:
         raise NotKPartiteError(
-            f"pattern on {pattern.n} vertices admits no {pattern.k}-partite realisation")
+            f"pattern on {n} vertices admits no {k}-partite realisation")
+    if spare:
+        sizes = {tuple(sorted([a + b for a, b in zip(base, extra)]))
+                 for base in sizes for extra in _compositions(spare, k)}
     s_vals: set[int] = set()
     d_vals: set[int] = {0}
-    for masks in reals:
-        sizes = [m.bit_count() for m in masks]
-        s_vals.update(sizes)
-        for i, a in enumerate(sizes):
-            for b in sizes[i + 1:]:
-                d_vals.add(abs(a - b))
+    for full in sizes:
+        s_vals.update(full)
+        d_vals.update(b - a for i, a in enumerate(full) for b in full[i + 1:])
     nonzero = sorted(d_vals - {0})
     return InvariantReport(
-        k=pattern.k,
-        vertices=pattern.n,
+        k=k,
+        vertices=n,
         s_set=tuple(sorted(s_vals)),
         d_set=tuple(sorted(d_vals)),
         gcd=math.gcd(*nonzero) if nonzero else None,
-        sigma=Fraction(min(s_vals), pattern.n),
-        realisation_count=len(reals),
+        sigma=Fraction(min(s_vals), n),
+        realisation_count=count,
     )
+
+
+@lru_cache(maxsize=None)
+def _compositions(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Every way to write m as an ordered sum of k nonnegative integers.
+    Both are at most MAX_PATTERN_VERTICES, so the cache stays small."""
+    if k == 1:
+        return ((m,),)
+    return tuple((first, *rest) for first in range(m + 1)
+                 for rest in _compositions(m - first, k - 1))
 
 
 CASE_BALANCED = "sizes_one_or_gcd_sizes_gt1"

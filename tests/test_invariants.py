@@ -1,4 +1,6 @@
+import importlib
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,8 @@ from hypertile import (
     realisations,
 )
 from hypertile.errors import NotKPartiteError, ValidationError
+
+invariants_module = importlib.import_module("hypertile.invariants")
 
 EDGE = build(3, 3, [(0, 1, 2)])
 K112 = complete_k_partite((1, 1, 2)).graph
@@ -94,6 +98,84 @@ def test_pattern_size_cap():
     big = build(3, 15, [(0, 1, 2)])
     with pytest.raises(ValidationError):
         realisations(big)
+    for g in (big, build(3, 15, [])):
+        with pytest.raises(ValidationError):
+            invariants(g)
+
+
+@st.composite
+def patterns_with_isolated_vertices(draw):
+    """A random k-graph (k = 2, 3, 4) with 0-4 isolated vertices added,
+    relabelled so that they fall anywhere in the vertex order."""
+    k = draw(st.integers(2, 4))
+    g = draw(hypergraphs(k=k, max_n=8 - k))
+    n = g.n + draw(st.integers(0, 4))
+    perm = draw(st.permutations(range(n)))
+    return build(k, n, [[perm[v] for v in e] for e in g.edges])
+
+
+@settings(max_examples=60)
+@given(patterns_with_isolated_vertices())
+def test_invariants_count_isolated_vertices(g):
+    theirs = oracles.partitions_by_coloring(g.n, g.k, g.edges)
+    reals = realisations(g)
+    assert len(reals) == len(theirs)
+    assert {tuple(r.parts) for r in reals} == theirs
+    if not theirs:
+        with pytest.raises(NotKPartiteError):
+            invariants(g)
+        return
+    rep = invariants(g)
+    sizes = {len(c) for classes in theirs for c in classes}
+    diffs = {abs(len(a) - len(b)) for classes in theirs for a in classes for b in classes}
+    nonzero = sorted(diffs - {0})
+    assert rep.realisation_count == len(theirs)
+    assert rep.s_set == tuple(sorted(sizes))
+    assert rep.d_set == tuple(sorted(diffs))
+    assert rep.gcd == (math.gcd(*nonzero) if nonzero else None)
+    assert rep.sigma == Fraction(min(sizes), g.n)
+
+
+def _lines_run_in_invariants(run):
+    """Lines executed in `hypertile.invariants` during run(): a count of
+    search steps that does not depend on the machine."""
+    steps = 0
+
+    def local(frame, event, arg):
+        nonlocal steps
+        if event == "line":
+            steps += 1
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename == invariants_module.__file__ else None
+
+    sys.settrace(trace)
+    try:
+        return run(), steps
+    finally:
+        sys.settrace(None)
+
+
+def test_isolated_vertices_are_counted_not_listed():
+    # one edge and 11 isolated vertices: 3^11 realisations, of which the
+    # search lists one
+    rep, steps = _lines_run_in_invariants(lambda: invariants(build(3, 14, [(0, 1, 2)])))
+    assert rep.realisation_count == 3 ** 11 == 177_147
+    assert rep.s_set == tuple(range(1, 13)) and rep.sigma == Fraction(1, 14)
+    assert steps < 5_000
+
+
+def test_edgeless_pattern_has_stirling_many_realisations():
+    g = build(3, 5, [])
+    rep = invariants(g)
+    assert rep.realisation_count == len(realisations(g)) == 25      # S(5, 3)
+    assert rep.s_set == (1, 2, 3) and rep.d_set == (0, 1, 2)
+    assert rep.gcd == 1 and rep.sigma == Fraction(1, 5)
+    short = build(3, 2, [])
+    assert realisations(short) == []
+    with pytest.raises(NotKPartiteError):
+        invariants(short)
 
 
 def test_invariant_report_fixtures():

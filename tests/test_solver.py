@@ -679,6 +679,7 @@ def _assert_oracle_answers(host, pattern):
 
 EIGHT_TRIPLES = build(3, 24, [(i, i + 1, i + 2) for i in range(0, 24, 3)])
 K777 = complete_k_partite((7, 7, 7)).graph
+KST2_10 = k_st(3, 2, 10).graph
 
 
 def _shuffled(g, seed):
@@ -695,16 +696,43 @@ DEEP_CASES = [
      (0, 6, 7, 1, 16, 19, 2, 4, 18, 3, 8, 15, 5, 9, 10, 11, 20, 23, 12, 14, 22, 13, 17, 21),
      1),
     (K777, K777, tuple(range(21)), 1),
+    # Twin bounds set in the first function and read in the second: K(7,7,7)
+    # places positions 19 and 20 above 16 and 17, and K_{2,10} places both
+    # above 18.  The K(7,7,8) copy is `oracles.ordered_embeddings`' first,
+    # computed once (about 7 s); the K_{2,11} host is checked against that
+    # oracle below.
+    (K777, _shuffled(complete_k_partite((7, 7, 8)).graph, 1),
+     (0, 1, 6, 10, 12, 16, 17, 2, 3, 4, 7, 8, 14, 15, 5, 9, 11, 13, 19, 20, 21),
+     8),
+    (KST2_10, _shuffled(k_st(3, 2, 11).graph, 1),
+     (0, 7, 1, 19, 2, 8, 3, 15, 5, 10, 6, 9, 11, 20, 12, 16, 13, 21, 14, 22, 4, 18),
+     11),
 ]
 
 
 @pytest.mark.parametrize("pattern, host, copy, count", DEEP_CASES,
-                         ids=["eight-triples", "k777"])
+                         ids=["eight-triples", "k777", "k777-in-k778", "kst2-10-in-kst2-11"])
 def test_plans_past_the_nesting_limit(pattern, host, copy, count):
     assert contains_copy(host, pattern).images == copy
     enum = enumerate_copy_sets(host, pattern)
     assert len(enum.sets) == count
     assert enum.witnesses[enum.sets[0]].images == copy
+
+
+def test_twin_bound_crosses_the_kernel_split():
+    pattern, host = DEEP_CASES[-1][:2]
+    plan = solver._plan(pattern)
+    # positions 19 and 20, placed by the second function, are bounded by 18
+    assert solver._LOOPS_PER_KERNEL == 19 and plan.twin[19:21] == (18, 18)
+    reached = _reached(host, pattern)
+    assert reached == oracles.ordered_embeddings(
+        host.n, host.edges, pattern.edges, plan.order, plan.twin)
+    enum = enumerate_copy_sets(host, pattern)
+    first = {}
+    for images in reached:
+        first.setdefault(tuple(sorted(images)), images)
+    assert enum.sets == tuple(sorted(first))
+    assert {vs: w.images for vs, w in enum.witnesses.items()} == first
 
 
 def _oracle_room(pattern):

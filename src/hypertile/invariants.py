@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .core import Hypergraph, Partition
@@ -34,7 +33,6 @@ def realisations(pattern: Hypergraph) -> list[Partition]:
     vertices of a pattern with edges out; each of its results is expanded
     here by putting every isolated vertex in every class in turn.
     """
-    _check_order(pattern)
     n = pattern.n
     found, isolated = _class_masks(pattern)
     for v in isolated:
@@ -43,13 +41,6 @@ def realisations(pattern: Hypergraph) -> list[Partition]:
     return sorted((Partition([[v for v in range(n) if m >> v & 1]
                               for m in sorted(masks, key=lambda m: m & -m)], n)
                    for masks in found), key=lambda p: p.parts)
-
-
-def _check_order(pattern: Hypergraph) -> None:
-    if pattern.n > MAX_PATTERN_VERTICES:
-        raise ValidationError(
-            f"pattern has {pattern.n} vertices; realisation enumeration is capped at "
-            f"{MAX_PATTERN_VERTICES}")
 
 
 def _class_masks(pattern: Hypergraph) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -63,7 +54,12 @@ def _class_masks(pattern: Hypergraph) -> tuple[list[tuple[int, ...]], list[int]]
     iff the class holds none of the vertices it shares an edge with.
     """
     k = pattern.k
-    conflicts = [0] * pattern.n
+    n = pattern.n
+    if n > MAX_PATTERN_VERTICES:
+        raise ValidationError(
+            f"pattern has {n} vertices; realisation enumeration is capped at "
+            f"{MAX_PATTERN_VERTICES}")
+    conflicts = [0] * n
     for e in pattern.edges:
         full = 0
         for v in e:
@@ -74,7 +70,7 @@ def _class_masks(pattern: Hypergraph) -> tuple[list[tuple[int, ...]], list[int]]
         searched = [v for v, c in enumerate(conflicts) if c]
         isolated = [v for v, c in enumerate(conflicts) if not c]
     else:
-        searched, isolated = list(range(pattern.n)), []
+        searched, isolated = list(range(n)), []
     w = len(searched)
     if w < k:
         return [], isolated
@@ -129,36 +125,24 @@ class InvariantReport(NamedTuple):
 def invariants(pattern: Hypergraph) -> InvariantReport:
     """Compute the class-size invariants; raises NotKPartiteError if none exist.
 
-    Isolated vertices are counted, not listed.  With an edge, the search of
-    _class_masks over the vertices in some edge already opens all k
-    classes, so the m isolated vertices go in any of them: k^m realisations
+    Isolated vertices are counted, not listed.  The search of _class_masks
+    over the vertices in some edge already opens all k classes, so the m
+    isolated vertices it leaves out go in any of them: k^m realisations
     each, with the class sizes raised by every composition of m into k
-    parts.  An edgeless pattern with n >= k has the S(n, k) partitions into
-    k nonempty classes, whose sizes are 1 + a composition of n - k.  Only
-    the sorted class sizes of the search's results are kept, and each
-    difference is taken within one sorted size vector.
+    parts.  (An edgeless pattern leaves none out.)  Only the sorted class
+    sizes of the search's results are kept, and each difference is taken
+    within one sorted size vector.
     """
-    _check_order(pattern)
     k = pattern.k
     n = pattern.n
-    if pattern.edges:
-        found, isolated = _class_masks(pattern)
-        sizes = {tuple(sorted([m.bit_count() for m in masks])) for masks in found}
-        spare = len(isolated)
-        count = len(found) * k ** spare
-    elif n >= k:
-        sizes = {(1,) * k}
-        spare = n - k
-        count = sum((-1) ** j * math.comb(k, j) * (k - j) ** n
-                    for j in range(k + 1)) // math.factorial(k)
-    else:
-        sizes = set()
-    if not sizes:
+    found, isolated = _class_masks(pattern)
+    if not found:
         raise NotKPartiteError(
             f"pattern on {n} vertices admits no {k}-partite realisation")
-    if spare:
+    sizes = {tuple(sorted([m.bit_count() for m in masks])) for masks in found}
+    if isolated:
         sizes = {tuple(sorted([a + b for a, b in zip(base, extra)]))
-                 for base in sizes for extra in _compositions(spare, k)}
+                 for base in sizes for extra in _compositions(len(isolated), k)}
     s_vals: set[int] = set()
     d_vals: set[int] = {0}
     for full in sizes:
@@ -172,18 +156,16 @@ def invariants(pattern: Hypergraph) -> InvariantReport:
         d_set=tuple(sorted(d_vals)),
         gcd=math.gcd(*nonzero) if nonzero else None,
         sigma=Fraction(min(s_vals), n),
-        realisation_count=count,
+        realisation_count=len(found) * k ** len(isolated),
     )
 
 
-@lru_cache(maxsize=None)
-def _compositions(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Every way to write m as an ordered sum of k nonnegative integers.
-    Both are at most MAX_PATTERN_VERTICES, so the cache stays small."""
+def _compositions(m: int, k: int) -> list[tuple[int, ...]]:
+    """Every way to write m as an ordered sum of k nonnegative integers."""
     if k == 1:
-        return ((m,),)
-    return tuple((first, *rest) for first in range(m + 1)
-                 for rest in _compositions(m - first, k - 1))
+        return [(m,)]
+    return [(first, *rest) for first in range(m + 1)
+            for rest in _compositions(m - first, k - 1)]
 
 
 CASE_BALANCED = "sizes_one_or_gcd_sizes_gt1"

@@ -238,13 +238,11 @@ def _compile(order: Sequence[int], edges: Sequence[VertexSet],
     later position's pending mask (`m{q}_{p}`, or the lookup `k{p}_{i}`
     itself); an empty one moves to the next candidate at once.  Such a
     candidate's subtree would be empty, so the embeddings and their order
-    are those of one position at a time.  A position j that bounds a later
-    one sets `t{j} = -(b{j} << 1)` once per image, after its lookups, and
-    each position bounded by j ANDs it in: b{j} is fixed in j's loop body.
-    The last position calls the leaf inline.  One function holds at most
-    _LOOPS_PER_KERNEL loops: the innermost calls the next, `kernel{i}`, with
-    the free mask, the placed bits it reads, the bounds and the pending
-    masks.  The source holds only integers from the plan."""
+    are those of one position at a time.  The last position calls the leaf
+    inline.  One function holds at most _LOOPS_PER_KERNEL loops: the
+    innermost calls the next, `kernel{i}`, with the free mask, the placed
+    bits and the pending masks.  The source holds only integers from the
+    plan."""
     where = {v: i for i, v in enumerate(order)}
     closing: list[dict[tuple[int, ...], list[int]]] = [{} for _ in order]
     for e in edges:
@@ -258,7 +256,7 @@ def _compile(order: Sequence[int], edges: Sequence[VertexSet],
         if p in pending:
             terms.append(pending.pop(p))
         if twin[p] >= 0:
-            terms.append(f"t{twin[p]}")
+            terms.append(f"-(b{twin[p]} << 1)")
         src.append(f"{pad}c{p} = {' & '.join(terms)}")
         if p == len(order) - 1:
             src += [f"{pad}if c{p} and leaf(bits, everything ^ f{p}, c{p}):",
@@ -287,14 +285,11 @@ def _compile(order: Sequence[int], edges: Sequence[VertexSet],
                     pending[q] = f"m{q}_{p}"
                 else:
                     pending[q] = found
-        if p in twin:
-            src.append(f"{pad}t{p} = -(b{p} << 1)")
         if (p + 1) % _LOOPS_PER_KERNEL == 0 and p + 2 < len(order):
-            later: set[int] = set()             # the placed bits read past this call
+            later = set(twin[p + 1:])           # the placed bits read past this call
             for keys in closing[p + 1:]:
                 later.update(*keys)
             carried = ", ".join([f"f{p + 1}", *(f"b{j}" for j in range(p + 1) if j in later),
-                                 *(f"t{j}" for j in range(p + 1) if j in twin[p + 1:]),
                                  *sorted(set(pending.values()))])
             call = f"kernel{(p + 1) // _LOOPS_PER_KERNEL}(link, leaf, bits, everything, {carried})"
             src += [f"{pad}if {call}:", f"{pad}    return True", "    return False", f"def {call}:"]

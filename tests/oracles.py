@@ -1,10 +1,11 @@
 """Slow reference implementations used to pin expected values.
 
 Everything here trades speed for obviousness: direct counting with
-itertools, no caching, and no code shared with the package under test.
-The one search that prunes, `ordered_embeddings`, drops only prefixes that
-every extension fails.  Tests compare the fast implementations against
-these.
+itertools, no pruning, no caching, and no code shared with the package
+under test.  Tests compare the fast implementations against these.  The
+one exception to "no pruning", `pruned_ordered_embeddings`, reaches plans
+too long for a permutation scan; it is itself tested against
+`ordered_embeddings`.
 """
 
 from __future__ import annotations
@@ -265,14 +266,26 @@ def ordered_embeddings(n: int, host_edges, pat_edges, order, twin):
     """Every injective map of the pattern into range(n) that keeps each
     pattern edge a host edge and puts the image of order[p] above that of
     order[twin[p]] wherever twin[p] >= 0, in lexicographic order read in
-    `order`: images[v] per pattern vertex v.
+    `order`: images[v] per pattern vertex v."""
+    eset = {frozenset(e) for e in host_edges}
+    found = []
+    for perm in itertools.permutations(range(n), len(order)):
+        if any(t >= 0 and perm[p] < perm[t] for p, t in enumerate(twin)):
+            continue
+        images = dict(zip(order, perm))
+        if all(frozenset(images[v] for v in e) in eset for e in pat_edges):
+            found.append(tuple(images[v] for v in range(len(order))))
+    return found
 
-    The maps are the permutations of range(n) of length len(order), in
-    itertools' order, that pass both tests.  They are built one position at
-    a time, and a prefix is dropped as soon as it breaks a twin bound or
-    maps an edge whose vertices it has all placed to a non-edge: every map
-    extending it fails the same test, so the list is the same, and plans of
-    20 or more positions stay in reach.
+
+def pruned_ordered_embeddings(n: int, host_edges, pat_edges, order, twin):
+    """The list of `ordered_embeddings`, for plans of 20 or more positions,
+    where a scan of every permutation is out of reach.
+
+    The maps are built one position at a time, in itertools' order, and a
+    prefix is dropped as soon as it breaks a twin bound or maps an edge
+    whose vertices it has all placed to a non-edge: every map extending it
+    fails the same test, so the list is the same.
     """
     eset = {frozenset(e) for e in host_edges}
     where = {v: p for p, v in enumerate(order)}

@@ -696,11 +696,11 @@ DEEP_CASES = [
      (0, 6, 7, 1, 16, 19, 2, 4, 18, 3, 8, 15, 5, 9, 10, 11, 20, 23, 12, 14, 22, 13, 17, 21),
      1),
     (K777, K777, tuple(range(21)), 1),
-    # Twin bounds set in the first function and read in the second: K(7,7,7)
+    # Twin bounds placed in the first function and read in the second: K(7,7,7)
     # places positions 19 and 20 above 16 and 17, and K_{2,10} places both
-    # above 18.  The K(7,7,8) copy is `oracles.ordered_embeddings`' first,
-    # computed once (about 7 s); the K_{2,11} host is checked against that
-    # oracle below.
+    # above 18.  The K(7,7,8) copy is `oracles.pruned_ordered_embeddings`'
+    # first, computed once (about 7 s); the K_{2,11} host is checked against
+    # that oracle below.
     (K777, _shuffled(complete_k_partite((7, 7, 8)).graph, 1),
      (0, 1, 6, 10, 12, 16, 17, 2, 3, 4, 7, 8, 14, 15, 5, 9, 11, 13, 19, 20, 21),
      8),
@@ -725,7 +725,7 @@ def test_twin_bound_crosses_the_kernel_split():
     # positions 19 and 20, placed by the second function, are bounded by 18
     assert solver._LOOPS_PER_KERNEL == 19 and plan.twin[19:21] == (18, 18)
     reached = _reached(host, pattern)
-    assert reached == oracles.ordered_embeddings(
+    assert reached == oracles.pruned_ordered_embeddings(
         host.n, host.edges, pattern.edges, plan.order, plan.twin)
     enum = enumerate_copy_sets(host, pattern)
     first = {}
@@ -733,6 +733,19 @@ def test_twin_bound_crosses_the_kernel_split():
         first.setdefault(tuple(sorted(images)), images)
     assert enum.sets == tuple(sorted(first))
     assert {vs: w.images for vs, w in enum.witnesses.items()} == first
+
+
+@settings(max_examples=100)
+@given(pattern=hypergraphs(k=2, max_n=5) | hypergraphs(max_n=5),
+       data=st.data(), extra=st.integers(0, 2), p=st.sampled_from((0.5, 0.8, 1.0)),
+       seed=st.integers(0, 2 ** 16))
+def test_pruned_oracle_matches_the_permutation_scan(pattern, data, extra, p, seed):
+    # any order, and any bound by an earlier position, not only the plan's
+    host = _random_host(pattern.k, pattern.n + extra, p, seed)
+    order = data.draw(st.permutations(range(pattern.n)))
+    twin = [data.draw(st.integers(-1, i - 1)) for i in range(pattern.n)]
+    args = (host.n, host.edges, pattern.edges, order, twin)
+    assert oracles.pruned_ordered_embeddings(*args) == oracles.ordered_embeddings(*args)
 
 
 def _oracle_room(pattern):

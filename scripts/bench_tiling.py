@@ -20,6 +20,11 @@ cover, which calls `options_at` in `solver.py` once per node, counted with
 `sys.setprofile` in one extra run that is not timed, so a speed-up reads as
 fewer nodes or as cheaper ones.  The max packing runs as one loop with no
 call per node, so its nodes are not counted: `planted20-max` reads 0.
+Tiling, probe and enumeration rows give `embeddings`, the candidates that
+the embedder's leaf received (`solver._place`, wrapped by this script), and
+`copy_sets`, the distinct vertex sets they span, summed over the searches
+of one untimed run, so a speed-up of the enumeration reads as fewer
+embeddings per copy set or as cheaper ones.
 The "verify checkers" rows time searches of `hypertile verify` and give
 `search_nodes` in place of the split: the calls of `place` (the C4-free
 branch and bound in `experiments.py`), counted the same way in an untimed
@@ -28,9 +33,10 @@ loop with no call per node, so its rows (`sigma-census`,
 `invariants-sparse14`) read null; their untimed run builds the census graphs
 outside the timing.
 The "twin classes" row times the host twin-class search alone
-(`solver._twin_classes`) and has no split; one untimed run before the timed
-ones builds the host and the solver's link table for it (`solver._links`),
-which the search reads.  Its answer is the class sizes.
+(`solver._twin_classes`, bypassing its cache where it has one) and has no
+split; one untimed run before the timed ones builds the host and the
+solver's link table for it (`solver._links`), which the search reads.  Its
+answer is the class sizes.
 The "copy search" row times one `contains_copy` and the "enumeration" rows
 the copy-set enumerations of the barrier-parity claim of `hypertile
 verify`, of K(7,7,7) in itself and of K(3,5,7) in K(4,6,8); an untimed run
@@ -302,7 +308,40 @@ def _probe_claim(seed):
 
 
 def _twin_class_sizes(host):
-    return {"class_sizes": [c.bit_count() for c in solver._twin_classes(host)]}
+    search = getattr(solver._twin_classes, "__wrapped__", solver._twin_classes)
+    return {"class_sizes": [c.bit_count() for c in search(host)]}
+
+
+def _leaf_counts(run) -> dict:
+    """One run() with the leaf of every embedder search wrapped: the leaf
+    candidates reached (`embeddings`) and, per search, the distinct vertex
+    masks they span (`copy_sets`), summed over the run's searches."""
+    place = solver._place
+    counts = {"embeddings": 0, "copy_sets": 0}
+
+    def counted(host, pattern, leaf, *args, **kwargs):
+        masks = set()
+
+        def counting_leaf(bits, used, candidates):
+            counts["embeddings"] += candidates.bit_count()
+            scan = candidates
+            while scan:
+                low = scan & -scan
+                masks.add(used | low)
+                scan ^= low
+            return leaf(bits, used, candidates)
+
+        try:
+            return place(host, pattern, counting_leaf, *args, **kwargs)
+        finally:
+            counts["copy_sets"] += len(masks)
+
+    solver._place = counted
+    try:
+        run()
+    finally:
+        solver._place = place
+    return counts
 
 
 def _sigma_census(graphs):
@@ -392,6 +431,10 @@ ROWS = {
     # One table per host serves every pair's probe.
     "probe-exactness": ("probe", "experiments._claim_probe_exactness(1, None)",
                         lambda: _probe_claim(1)),
+    # Twin-rich at i = 3: 495 candidates, whose covers meet the same states.
+    "connectors77-k111-i3": (
+        "probe", "count_connectors(barrier_graph(7, 7), complete_k_partite((1, 1, 1)), 0, 1, 3)",
+        lambda: _connectors(_barrier_host(7, 7), K111, 3)),
     "connectors100sparse-k111-i1": (
         "probe", f"count_connectors({SPARSE100}, complete_k_partite((1, 1, 1)), 0, 1, 1)",
         lambda: _connectors(_random_host(0, 100, 0.002), K111, 1)),
@@ -516,10 +559,12 @@ def measure(name: str, repeat: int) -> dict:
     originals = {(m, f): getattr(m, f) for m in (solver, experiments, cli, probes)
                  for f in ("enumerate_copy_sets", "has_perfect_tiling", "max_tiling")
                  if hasattr(m, f)}
-    nodes = None
+    nodes = leaves = None
     if name in CHECKER_NODES:
         # Counted before the timed runs, which also builds a row's cached inputs.
         nodes = _search_calls(run, (CHECKER_NODES[name],), (experiments.__file__,))
+    elif layer == ENUMERATION:
+        leaves = _leaf_counts(run)      # also builds the hosts, link tables and plan untimed
     elif layer in PREPARED:
         run()                   # builds the hosts, their link tables and the plan untimed
     best = None
@@ -553,7 +598,8 @@ def measure(name: str, repeat: int) -> dict:
                 json.dumps(answer, sort_keys=True).encode()).hexdigest()
     if layer not in (PLAN, *PREPARED):
         best["cover_calls"] = _search_calls(run)
-    return {**best, **_package_meta()}
+        leaves = _leaf_counts(run)
+    return {**best, **(leaves or {}), **_package_meta()}
 
 
 def main() -> int:

@@ -4,6 +4,16 @@ Vertices are the integers 0..n-1.  Edges are stored as sorted tuples in
 lexicographic order, so equality, hashing, iteration, and file output are
 all deterministic.  Every count returned here is an exact integer; no
 floating point enters this module.
+
+The structure queries that the solver's plans and searches read live here
+too: whether a graph is complete partite (`_partite_parts`) or a K_{s,t}
+shape (`_kst_shape`), and, each cached for the last eight graphs, the link
+of every (k-1)-set (`_links`), which the codegrees also read, and the
+classes of vertices whose swap is an automorphism (`_twin_classes`), from
+which `_host_keep` derives the masks the embedder keeps free on a host with
+twins.  Every command compiles `solver.py` when no bytecode is cached, and
+its compile peak sets the floor of a short command's peak memory, so code
+that needs no search state stays out of it.
 """
 
 from __future__ import annotations
@@ -11,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
@@ -92,7 +103,7 @@ class Hypergraph:
         """Number of edges containing every vertex of `s_set`.
 
         For |S| = k this is edge membership (0 or 1).  |S| > k is an error.
-        For |S| = k-1 it is the size of S's link in the solver's link
+        For |S| = k-1 it is the size of S's link in the link
         table of the graph, built on first use and cached.
         """
         s = vertex_set(s_set)
@@ -102,7 +113,6 @@ class Hypergraph:
         if len(s) == self.k:
             return 1 if s in self._edge_set else 0
         if len(s) == self.k - 1:
-            from .solver import _links
             return _links(self).get(sum(1 << v for v in s), 0).bit_count()
         ss = set(s)
         return sum(1 for e in self.edges if ss.issubset(e))
@@ -111,7 +121,7 @@ class Hypergraph:
         """Minimum degree over all s-subsets of the vertex set (exact).
 
         Counts every s-subset, including those lying in no edge.  For
-        s = k-1 it reads the solver's link table, which holds only the
+        s = k-1 it reads the link table (`_links`), which holds only the
         (k-1)-sets in some edge: fewer than C(n, k-1) keys means 0.
         """
         if s < 0 or s >= self.k:
@@ -119,7 +129,6 @@ class Hypergraph:
         if self.n < s:
             raise ValidationError(f"graph has {self.n} vertices, fewer than s = {s}")
         if s == self.k - 1:
-            from .solver import _links
             links = _links(self)
             if len(links) < math.comb(self.n, s):
                 return 0
@@ -224,3 +233,130 @@ class Partition:
 def build(k: int, n: int, edges: Iterable[Iterable[int]] = ()) -> Hypergraph:
     """Validating constructor; rejects bad arity, repeats, and out-of-range ids."""
     return Hypergraph(k, n, edges)
+
+
+def _partite_parts(pattern: Hypergraph) -> tuple[VertexSet, ...] | None:
+    """Parts of the pattern if it is complete k-partite, else None.
+
+    In a complete partite pattern two vertices share a part exactly when no
+    edge holds both, so each vertex's part is itself and the vertices it
+    never meets.  An edge's k vertices have k distinct parts, so when there
+    are exactly k, each vertex lies in just one of them (a vertex in two
+    would put both owners in its own part), and every edge is a transversal:
+    equal counts then make the edges all the transversals.  An isolated
+    vertex's part is every vertex, one too many."""
+    near = [0] * pattern.n                      # per vertex: the vertices of its edges
+    for e in pattern.edges:
+        full = sum(1 << v for v in e)
+        for v in e:
+            near[v] |= full
+    parts = {tuple(u for u in range(pattern.n) if u == v or not near[v] >> u & 1)
+             for v in range(pattern.n)}
+    if len(parts) != pattern.k or math.prod(map(len, parts)) != pattern.edge_count:
+        return None
+    return tuple(sorted(parts, key=lambda p: (len(p), p)))
+
+
+def _kst_shape(pattern: Hypergraph) -> tuple[VertexSet, tuple[VertexSet, ...]] | None:
+    """Core and leaf groups if the pattern is a K_{s,t} shape, else None."""
+    if pattern.edge_count == 0:
+        return None
+    for anchor in range(pattern.n):
+        through = [e for e in pattern.edges if anchor in e]
+        groups = []
+        covered: set[int] = set()
+        ok = True
+        for e in through:
+            g = tuple(v for v in e if v != anchor)
+            if covered.intersection(g):
+                ok = False
+                break
+            covered.update(g)
+            groups.append(g)
+        if not ok or anchor in covered:
+            continue
+        core = tuple(v for v in range(pattern.n) if v not in covered)
+        expected = {tuple(sorted(g + (y,))) for g in groups for y in core}
+        if expected == set(pattern.edges):
+            return core, tuple(sorted(groups))
+    return None
+
+
+@lru_cache(maxsize=8)
+def _links(host: Hypergraph) -> dict[int, int]:
+    """Bitmask of each (k-1)-set (one that lies in an edge) to the bitmask
+    of the vertices that complete it to an edge."""
+    links: dict[int, int] = {}
+    get = links.get
+    bits = [1 << v for v in range(host.n)]
+    for e in host.edges:
+        full = 0
+        for v in e:
+            full |= bits[v]
+        for v in e:
+            bit = bits[v]
+            key = full ^ bit
+            links[key] = get(key, 0) | bit
+    return links
+
+
+@lru_cache(maxsize=8)
+def _twin_classes(graph: Hypergraph) -> list[int]:
+    """Vertex masks of the graph's twin classes, by smallest vertex.  Each
+    vertex u is tested against one member v of each earlier class that can
+    hold a twin: for any rest r of u (the mask e - u of an edge e through
+    u), a twin lies in r or completes r to an edge, so the candidates are r
+    and its link.  The swap of u and v is an automorphism exactly when u and
+    v have equal degrees and, for every rest r of u, v is in r or in r's
+    link: it fixes the edges through both, maps an edge r + u that misses v
+    to r + v, an edge exactly when v is in r's link, and so maps the edges
+    through u into those through v, onto them when the degrees are equal;
+    as an involution it then maps the edges through v back."""
+    rests: list[list[int]] = [[] for _ in range(graph.n)]
+    for e in graph.edges:
+        full = 0
+        for v in e:
+            full |= 1 << v
+        for v in e:
+            rests[v].append(full ^ (1 << v))
+    link = _links(graph)
+    bare = 0                                    # the vertices in no edge
+    class_of: list[int] = []
+    classes: list[int] = []
+    for u, mine in enumerate(rests):
+        if mine:
+            candidates = (mine[0] | link[mine[0]]) & ((1 << u) - 1)
+        else:
+            candidates = bare
+            bare |= 1 << u
+        while candidates:
+            v = (candidates & -candidates).bit_length() - 1
+            if len(mine) == len(rests[v]) and all(
+                    r >> v & 1 or link[r] >> v & 1 for r in mine):
+                class_of.append(class_of[v])
+                classes[class_of[v]] |= 1 << u
+                break
+            candidates &= ~classes[class_of[v]]
+        else:
+            class_of.append(len(classes))
+            classes.append(1 << u)
+    return classes
+
+
+def _host_keep(host: Hypergraph) -> dict[int, int] | None:
+    """Per vertex bit b of the host, the mask of every vertex but b and b's
+    twins below it: what the embedder keeps free once b is placed
+    (`solver._compile`).  None when every twin class has one vertex."""
+    classes = _twin_classes(host)
+    if not any(c & (c - 1) for c in classes):
+        return None
+    everything = (1 << host.n) - 1
+    keep = {}
+    for c in classes:
+        below = 0
+        while c:
+            b = c & -c
+            below |= b
+            keep[b] = everything ^ below
+            c ^= b
+    return keep

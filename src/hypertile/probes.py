@@ -54,7 +54,8 @@ def count_connectors(host: Hypergraph, pattern: Hypergraph, x: int, y: int,
 
     A connector is a set S disjoint from {x, y} with |S| = |V(F)|*i - 1
     such that both H[S + {x}] and H[S + {y}] admit perfect pattern tilings,
-    decided per vertex mask over one copy-set table of the host.  Every call
+    decided per vertex mask over one copy-set table of the host, whose
+    covers share one set of failed states (`_exact_cover_first`).  Every call
     charges the budget for the C(n-2, |S|) candidates and for the C(n, t)
     of that table's enumeration, also when the table is the one the last
     call built (`_connector_table`), so no answer and no budget error
@@ -70,9 +71,10 @@ def count_connectors(host: Hypergraph, pattern: Hypergraph, x: int, y: int,
     _check_pair(host, pattern)
     charge(math.comb(host.n, pattern.n), budget, "copy-set enumeration")
     table = _connector_table(host, pattern)
+    dead: set[int] = set()                      # failed states, shared by the probe's covers
 
     def tiles(target: int) -> bool:
-        return _exact_cover_first(table, target) is not None
+        return _exact_cover_first(table, target, dead) is not None
 
     others = [1 << v for v in range(host.n) if v != x and v != y]
     return sum(1 for s in itertools.combinations(others, size)

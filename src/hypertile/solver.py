@@ -28,7 +28,9 @@ once for all the positions that close the set.  `contains_copy` returns
 the first one.  Copy-set enumeration runs the embedder to every solution
 and keeps each vertex set with the first embedding that reaches it as its
 witness, built when it is read, so a search that returns no copy builds
-none.
+none.  On a host with twins it also gives positions whose images share a
+host twin class increasing images, which the first embedding onto each
+set obeys (`_copy_masks`), so it reaches a set through fewer embeddings.
 
 Tilings are searched over one table of the host's copy sets: each set's
 vertex bitmask and, per vertex, a column: the bitset of the sets through
@@ -61,7 +63,8 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .budget import charge
-from .core import Hypergraph, Partition, VertexSet, vertex_set
+from .core import (Hypergraph, Partition, VertexSet, _host_keep, _kst_shape, _links,
+                   _partite_parts, _twin_classes, vertex_set)
 from .errors import ValidationError
 
 
@@ -114,53 +117,6 @@ class _Plan(NamedTuple):
                                           # must exceed (a twin or an equal block), or -1
     room: tuple[int, ...]                 # per position: positions from it on in its twin class
     kernel: Callable[..., bool]           # the search, compiled (`_compile`)
-
-
-def _partite_parts(pattern: Hypergraph) -> tuple[VertexSet, ...] | None:
-    """Parts of the pattern if it is complete k-partite, else None.
-
-    In a complete partite pattern two vertices share a part exactly when no
-    edge holds both, so each vertex's part is itself and the vertices it
-    never meets.  An edge's k vertices have k distinct parts, so when there
-    are exactly k, each vertex lies in just one of them (a vertex in two
-    would put both owners in its own part), and every edge is a transversal:
-    equal counts then make the edges all the transversals.  An isolated
-    vertex's part is every vertex, one too many."""
-    near = [0] * pattern.n                      # per vertex: the vertices of its edges
-    for e in pattern.edges:
-        full = sum(1 << v for v in e)
-        for v in e:
-            near[v] |= full
-    parts = {tuple(u for u in range(pattern.n) if u == v or not near[v] >> u & 1)
-             for v in range(pattern.n)}
-    if len(parts) != pattern.k or math.prod(map(len, parts)) != pattern.edge_count:
-        return None
-    return tuple(sorted(parts, key=lambda p: (len(p), p)))
-
-
-def _kst_shape(pattern: Hypergraph) -> tuple[VertexSet, tuple[VertexSet, ...]] | None:
-    """Core and leaf groups if the pattern is a K_{s,t} shape, else None."""
-    if pattern.edge_count == 0:
-        return None
-    for anchor in range(pattern.n):
-        through = [e for e in pattern.edges if anchor in e]
-        groups = []
-        covered: set[int] = set()
-        ok = True
-        for e in through:
-            g = tuple(v for v in e if v != anchor)
-            if covered.intersection(g):
-                ok = False
-                break
-            covered.update(g)
-            groups.append(g)
-        if not ok or anchor in covered:
-            continue
-        core = tuple(v for v in range(pattern.n) if v not in covered)
-        expected = {tuple(sorted(g + (y,))) for g in groups for y in core}
-        if expected == set(pattern.edges):
-            return core, tuple(sorted(groups))
-    return None
 
 
 def _generic_order(pattern: Hypergraph) -> tuple[int, ...]:
@@ -219,8 +175,8 @@ def _plan(pattern: Hypergraph) -> _Plan:
 _LOOPS_PER_KERNEL = 19
 
 
-def _compile(order: Sequence[int], edges: Sequence[VertexSet],
-             twin: Sequence[int], room: Sequence[int]) -> Callable[..., bool]:
+def _compile(order: Sequence[int], edges: Sequence[VertexSet], twin: Sequence[int],
+             room: Sequence[int], sort_host_twins: bool = False) -> Callable[..., bool]:
     """The plan's search as nested loops, compiled once per plan:
     `kernel(link, leaf, bits, everything)` runs `_place`'s search.  An edge
     is checked at the position of its last vertex in `order`, which closes
@@ -242,15 +198,24 @@ def _compile(order: Sequence[int], edges: Sequence[VertexSet],
     inline.  One function holds at most _LOOPS_PER_KERNEL loops: the
     innermost calls the next, `kernel{i}`, with the free mask, the placed
     bits and the pending masks.  The source holds only integers from the
-    plan."""
+    plan.
+
+    With `sort_host_twins` the kernel takes `keep` (`_host_keep`) after
+    `everything`, and placing b leaves `f & keep[b]`, which also drops b's
+    host twins below b, so positions whose images share a host twin class
+    take increasing images (exact: see `_copy_masks`).  The free mask then
+    no longer tells what is placed: the leaf gets the OR of the placed bits,
+    and a split carries them all."""
     where = {v: i for i, v in enumerate(order)}
     closing: list[dict[tuple[int, ...], list[int]]] = [{} for _ in order]
     for e in edges:
         *at, q = sorted(where[v] for v in e)
         closing[at[-1]].setdefault(tuple(at), []).append(q)
     pending: dict[int, str] = {}                # position -> name of its pending mask
-    src = ["def kernel0(link, leaf, bits, everything):", "    f0 = everything"]
+    head = "link, leaf, bits, everything" + (", keep" if sort_host_twins else "")
+    src = [f"def kernel0({head}):", "    f0 = everything"]
     pad = "    "
+    last = len(order) - 1
     for p, v in enumerate(order):
         terms = [f"f{p}"]
         if p in pending:
@@ -258,10 +223,14 @@ def _compile(order: Sequence[int], edges: Sequence[VertexSet],
         if twin[p] >= 0:
             terms.append(f"-(b{twin[p]} << 1)")
         src.append(f"{pad}c{p} = {' & '.join(terms)}")
-        if p == len(order) - 1:
-            src += [f"{pad}if c{p} and leaf(bits, everything ^ f{p}, c{p}):",
+        if p == last:
+            used = (f"everything ^ f{p}" if not sort_host_twins
+                    else f"placed | b{p - 1}" if p else "0")
+            src += [f"{pad}if c{p} and leaf(bits, {used}, c{p}):",
                     f"{pad}    return True"]
             break
+        if sort_host_twins and p == last - 1:
+            src.append(f"{pad}placed = {' | '.join(f'b{j}' for j in range(p)) or '0'}")
         src += [f"{pad}while c{p}:",
                 f"{pad}    b{p} = c{p} & -c{p}",
                 f"{pad}    c{p} ^= b{p}"]
@@ -269,8 +238,8 @@ def _compile(order: Sequence[int], edges: Sequence[VertexSet],
             src += [f"{pad}    if not c{p}:", f"{pad}        break"]
         elif room[p] > 2:
             src += [f"{pad}    if c{p}.bit_count() < {room[p] - 1}:", f"{pad}        break"]
-        src += [f"{pad}    bits[{v}] = b{p}",
-                f"{pad}    f{p + 1} = f{p} ^ b{p}"]
+        step = f"f{p} & keep[b{p}]" if sort_host_twins else f"f{p} ^ b{p}"
+        src += [f"{pad}    bits[{v}] = b{p}", f"{pad}    f{p + 1} = {step}"]
         pad += "    "
         for i, (at, targets) in enumerate(closing[p].items()):
             found = f"k{p}_{i}"
@@ -287,11 +256,13 @@ def _compile(order: Sequence[int], edges: Sequence[VertexSet],
                     pending[q] = found
         if (p + 1) % _LOOPS_PER_KERNEL == 0 and p + 2 < len(order):
             later = set(twin[p + 1:])           # the placed bits read past this call
+            if sort_host_twins:
+                later.update(range(p + 1))      # the leaf's placed mask reads them all
             for keys in closing[p + 1:]:
                 later.update(*keys)
             carried = ", ".join([f"f{p + 1}", *(f"b{j}" for j in range(p + 1) if j in later),
                                  *sorted(set(pending.values()))])
-            call = f"kernel{(p + 1) // _LOOPS_PER_KERNEL}(link, leaf, bits, everything, {carried})"
+            call = f"kernel{(p + 1) // _LOOPS_PER_KERNEL}({head}, {carried})"
             src += [f"{pad}if {call}:", f"{pad}    return True", "    return False", f"def {call}:"]
             pad = "    "
     src.append("    return False")
@@ -300,64 +271,12 @@ def _compile(order: Sequence[int], edges: Sequence[VertexSet],
     return namespace["kernel0"]
 
 
-@lru_cache(maxsize=8)
-def _links(host: Hypergraph) -> dict[int, int]:
-    """Bitmask of each (k-1)-set (one that lies in an edge) to the bitmask
-    of the vertices that complete it to an edge."""
-    links: dict[int, int] = {}
-    get = links.get
-    bits = [1 << v for v in range(host.n)]
-    for e in host.edges:
-        full = 0
-        for v in e:
-            full |= bits[v]
-        for v in e:
-            bit = bits[v]
-            key = full ^ bit
-            links[key] = get(key, 0) | bit
-    return links
-
-
-def _twin_classes(graph: Hypergraph) -> list[int]:
-    """Vertex masks of the graph's twin classes, by smallest vertex.  Each
-    vertex u is tested against one member v of each earlier class that can
-    hold a twin: for any rest r of u (the mask e - u of an edge e through
-    u), a twin lies in r or completes r to an edge, so the candidates are r
-    and its link.  The swap of u and v is an automorphism exactly when u and
-    v have equal degrees and, for every rest r of u, v is in r or in r's
-    link: it fixes the edges through both, maps an edge r + u that misses v
-    to r + v, an edge exactly when v is in r's link, and so maps the edges
-    through u into those through v, onto them when the degrees are equal;
-    as an involution it then maps the edges through v back."""
-    rests: list[list[int]] = [[] for _ in range(graph.n)]
-    for e in graph.edges:
-        full = 0
-        for v in e:
-            full |= 1 << v
-        for v in e:
-            rests[v].append(full ^ (1 << v))
-    link = _links(graph)
-    bare = 0                                    # the vertices in no edge
-    class_of: list[int] = []
-    classes: list[int] = []
-    for u, mine in enumerate(rests):
-        if mine:
-            candidates = (mine[0] | link[mine[0]]) & ((1 << u) - 1)
-        else:
-            candidates = bare
-            bare |= 1 << u
-        while candidates:
-            v = (candidates & -candidates).bit_length() - 1
-            if len(mine) == len(rests[v]) and all(
-                    r >> v & 1 or link[r] >> v & 1 for r in mine):
-                class_of.append(class_of[v])
-                classes[class_of[v]] |= 1 << u
-                break
-            candidates &= ~classes[class_of[v]]
-        else:
-            class_of.append(len(classes))
-            classes.append(1 << u)
-    return classes
+@lru_cache(maxsize=256)
+def _sorted_kernel(pattern: Hypergraph) -> Callable[..., bool]:
+    """The plan's search under the host twin rule (`_compile`), compiled on
+    first use."""
+    plan = _plan(pattern)
+    return _compile(plan.order, pattern.edges, plan.twin, plan.room, sort_host_twins=True)
 
 
 def _check_pair(host: Hypergraph, pattern: Hypergraph) -> None:
@@ -370,7 +289,7 @@ def _check_pair(host: Hypergraph, pattern: Hypergraph) -> None:
 
 
 def _place(host: Hypergraph, pattern: Hypergraph,
-           leaf: Callable[[list[int], int, int], bool]) -> None:
+           leaf: Callable[[list[int], int, int], bool], sort_host_twins: bool = False) -> None:
     """Ordered bitset placement of the pattern into the host.
 
     Pattern vertices are placed in plan order.  The candidates for the next
@@ -386,11 +305,22 @@ def _place(host: Hypergraph, pattern: Hypergraph,
     and each link lookup sits in the loop where its (k-1)-set's last vertex
     lands, so it is made once for every position that closes the set, and
     an empty link ends the candidate there, as too few candidates for the
-    rest of a twin class (`room`) end the loop.  A pattern with more
-    vertices than the host has no placement, and the search is not run.
+    rest of a twin class (`room`) end the loop.  With `sort_host_twins`, on
+    a host with a twin class of two or more vertices, positions whose images
+    share a host class also take increasing images (`_sorted_kernel`).
+    Other hosts, and patterns that are one twin class, whose images all
+    increase already, run the plain kernel.  A pattern with more vertices
+    than the host has no placement, and the search is not run.
     """
-    if pattern.n <= host.n:
-        _plan(pattern).kernel(_links(host).get, leaf, [0] * pattern.n, (1 << host.n) - 1)
+    if pattern.n > host.n:
+        return
+    plan = _plan(pattern)
+    search = (_links(host).get, leaf, [0] * pattern.n, (1 << host.n) - 1)
+    keep = _host_keep(host) if sort_host_twins and plan.room[0] < pattern.n else None
+    if keep is None:
+        plan.kernel(*search)
+    else:
+        _sorted_kernel(pattern)(*search, keep)
 
 
 def contains_copy(host: Hypergraph, pattern: Hypergraph) -> Embedding | None:
@@ -419,7 +349,19 @@ def contains_copy(host: Hypergraph, pattern: Hypergraph) -> Embedding | None:
 
 def _copy_masks(host: Hypergraph, pattern: Hypergraph) -> dict[int, tuple[int, ...]]:
     """Vertex mask of every copy of the pattern in the host, mapped to the
-    images of the first embedding (in `_place` order) that reaches it."""
+    images of the first embedding (in `_place` order) that reaches it.
+
+    The search sorts host twins: positions whose images land in one host
+    twin class take increasing images, in plan order, so a twin-rich host
+    reaches each set through few embeddings (`complete18-kst322`: one per
+    set, against 45).  That keeps every set and its witness.  Let phi be the
+    lexicographically first embedding onto a set S, read in plan order.  If
+    phi put v at position i and its host twin u < v at a later position j,
+    then (u v) o phi would be an embedding onto S, equal to phi before i and
+    smaller at i.  So phi obeys the host rule, as it obeys the pattern's
+    twin and block rules, and every rule only drops embeddings: the visit
+    order is a subsequence of the plain search's, and phi is still the first
+    to reach S."""
     last = _plan(pattern).order[-1]
     reached: dict[int, tuple[int, ...]] = {}
 
@@ -433,29 +375,29 @@ def _copy_masks(host: Hypergraph, pattern: Hypergraph) -> dict[int, tuple[int, .
             candidates ^= low
         return False
 
-    _place(host, pattern, leaf)
+    _place(host, pattern, leaf, sort_host_twins=True)
     return reached
 
 
 class _Witnesses(Mapping):
     """Read-only map of each copy set, in lexicographic order, to its
-    witness: the first embedding that reached it, built each time it is
-    read."""
+    witness: the first embedding that reached it, kept by vertex mask
+    (`_copy_masks`) and built each time it is read."""
 
-    def __init__(self, first: dict[VertexSet, tuple[int, ...]]):
-        self._first = first
+    def __init__(self, sets: tuple[VertexSet, ...], first: dict[int, tuple[int, ...]]):
+        self._sets, self._first = sets, first
 
     def __getitem__(self, s: VertexSet) -> Embedding:
-        return Embedding(self._first[s])
-
-    def __contains__(self, s: object) -> bool:
-        return s in self._first
+        images = self._first.get(sum(1 << v for v in s)) if isinstance(s, tuple) else None
+        if images is None or tuple(sorted(images)) != s:
+            raise KeyError(s)
+        return Embedding(images)
 
     def __iter__(self) -> Iterator[VertexSet]:
-        return iter(self._first)
+        return iter(self._sets)
 
     def __len__(self) -> int:
-        return len(self._first)
+        return len(self._sets)
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -465,18 +407,20 @@ def enumerate_copy_sets(host: Hypergraph, pattern: Hypergraph,
                         budget: int | None = None) -> CopySetEnumeration:
     """All vertex sets spanned by a pattern copy, in lexicographic order.
 
-    The sets are grown by the embedder (`_copy_masks`).  A set's witness is
-    the first embedding that reached it, built when it is read, so a search
-    that prints no copy builds no witness.  The number of t-subsets,
+    The sets are grown by the embedder (`_copy_masks`), which on a host
+    with twins gives positions whose images share a twin class increasing
+    images: that drops embeddings, never a set or its witness.  A set's
+    witness is the first embedding that reached it, built when it is read,
+    so a search that prints no copy builds no witness.  The number of t-subsets,
     C(n, t), is charged to the budget.
     """
     _check_pair(host, pattern)
     if pattern.n == 0:
         raise ValidationError("pattern has no vertices")
     charge(math.comb(host.n, pattern.n), budget, "copy-set enumeration")
-    first = dict(sorted((tuple(sorted(images)), images)
-                        for images in _copy_masks(host, pattern).values()))
-    return CopySetEnumeration(tuple(first), _Witnesses(first))
+    first = _copy_masks(host, pattern)
+    sets = tuple(sorted(tuple(sorted(images)) for images in first.values()))
+    return CopySetEnumeration(sets, _Witnesses(sets, first))
 
 
 # -- exact cover -------------------------------------------------------------
@@ -487,7 +431,8 @@ _Table = tuple[Sequence[VertexSet], list[int], list[int], dict[int, int], int,
                tuple[tuple[int, int], ...]]
 
 
-def _exact_cover_first(table: _Table, target: int) -> list[int] | None:
+def _exact_cover_first(table: _Table, target: int,
+                       dead: set[int] | None = None) -> list[int] | None:
     """First exact cover of the vertex mask `target` by the table's sets,
     distinct t-sets, under the fail-first column rule: branch on the
     uncovered vertex v with the fewest live candidates, counted as
@@ -509,14 +454,16 @@ def _exact_cover_first(table: _Table, target: int) -> list[int] | None:
     more than t vertices is skipped, before its child's `live` is built,
     when the child's key is in `dead`.  This prunes only failing subtrees
     and keeps the branch order.  The root's key is never read: its failure
-    ends the search."""
+    ends the search.  A key fails or not by the table alone, whatever the
+    target, so calls over one table may share one `dead` set."""
     sets, masks, cols, index, singles, fields = table
     t = len(sets[0]) if sets else 0
     if not target:
         return []
     if target.bit_count() == t:
         return [index[target]] if target in index else None
-    dead: set[int] = set()
+    if dead is None:
+        dead = set()
     live = (1 << len(sets)) - 1
     for v, col in enumerate(cols):
         if not target >> v & 1:

@@ -328,6 +328,24 @@ def twin_classes(n: int, edges) -> list[int]:
     return sorted(classes, key=lambda c: c & -c)
 
 
+def host_sorted(n: int, host_edges, embeddings, order):
+    """The embeddings (images[v] per pattern vertex v) whose images increase
+    within each class of `twin_classes(n, host_edges)`, read in the vertex
+    order `order`, in their given order."""
+    classes = twin_classes(n, host_edges)
+
+    def increasing(images) -> bool:
+        seen = [-1] * len(classes)
+        for v in order:
+            c = next(i for i, c in enumerate(classes) if c >> images[v] & 1)
+            if images[v] < seen[c]:
+                return False
+            seen[c] = images[v]
+        return True
+
+    return [images for images in embeddings if increasing(images)]
+
+
 def first_cover(n: int, sets):
     """The first exact cover of range(n) by the given sets, as indices.
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,28 @@ def test_explicit_connector_budget_overrides_the_variable_on_a_new_table(monkeyp
     assert count_connectors(K333, EDGE, 0, 1, 1, budget=84) == 9
     with pytest.raises(BudgetExceededError, match="connector enumeration"):
         count_connectors(K333, EDGE, 0, 1, 1)
+
+
+def test_connector_covers_share_their_failed_states():
+    # barrier(7, 7) at i = 3: the covers of the 495 candidates meet the same
+    # states, so one failed-state set per probe makes 1,727 cover nodes
+    # (calls of `options_at`), against 4,440 with one set per cover
+    host, k111 = barrier_graph(7, 7).graph, complete_k_partite((1, 1, 1)).graph
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "options_at":
+            nodes += 1
+
+    probes._connector_table.cache_clear()
+    sys.setprofile(profile)
+    try:
+        count = count_connectors(host, k111, 0, 1, 3)
+    finally:
+        sys.setprofile(None)
+    assert count == oracles.connector_count(host.n, host.edges, 3, k111.edges, 0, 1, 3) == 245
+    assert nodes <= 1900                        # 1.1 times the count
 
 
 @settings(max_examples=40)

@@ -139,6 +139,19 @@ def test_copy_set_witnesses_follow_the_witness_rule(pattern, order):
     assert seen > 0
 
 
+def test_witnesses_are_read_by_sorted_copy_set():
+    # kept by vertex mask, but read only by the sorted tuple of a copy set
+    enum = enumerate_copy_sets(B75, K222)
+    first = enum.sets[0]
+    assert list(enum.witnesses) == list(enum.sets) and len(enum.witnesses) == len(enum.sets)
+    assert first in enum.witnesses and enum.witnesses[first].vertex_set == first
+    absent = tuple(v for v in range(B75.n) if v not in first)[:6]
+    for key in (first[::-1], absent, list(first), (0,), None):
+        assert key not in enum.witnesses
+        with pytest.raises(KeyError):
+            enum.witnesses[key]
+
+
 # (pattern, placement order): the copy is the lexicographically first
 # embedding read in that order; complete partite patterns take one vertex
 # per part in turn, so K(1,2,2) and K(2,2,2) pin the rule that equal parts
@@ -634,7 +647,7 @@ def test_plans_run_no_realisation_search(monkeypatch):
         0, 6, 12, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 13)
 
 
-def _reached(host, pattern):
+def _reached(host, pattern, sort_host_twins=False):
     """Every embedding `_place` reaches, in its order."""
     last = solver._plan(pattern).order[-1]
     reached = []
@@ -646,7 +659,7 @@ def _reached(host, pattern):
             candidates &= candidates - 1
         return False
 
-    solver._place(host, pattern, leaf)
+    solver._place(host, pattern, leaf, sort_host_twins)
     return reached
 
 
@@ -665,8 +678,12 @@ def _assert_oracle_answers(host, pattern):
     # the compiled search reaches the oracle's embeddings, in its order, so
     # the copy sets, their witnesses and the first copy follow
     plan = solver._plan(pattern)
-    assert _reached(host, pattern) == oracles.ordered_embeddings(
-        host.n, host.edges, pattern.edges, plan.order, plan.twin)
+    expected = oracles.ordered_embeddings(host.n, host.edges, pattern.edges, plan.order, plan.twin)
+    assert _reached(host, pattern) == expected
+    # the copy-set search also sorts host twins: it reaches the oracle's
+    # embeddings whose images increase within each host twin class
+    assert _reached(host, pattern, True) == oracles.host_sorted(
+        host.n, host.edges, expected, plan.order)
     enum = enumerate_copy_sets(host, pattern)
     sets, witnesses = oracles.copy_sets_by_scan(
         host.n, host.edges, pattern.n, pattern.edges, plan.order)
@@ -686,6 +703,41 @@ def _shuffled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     return build(g.k, g.n, [[perm[v] for v in e] for e in g.edges])
+
+
+@settings(max_examples=100)
+@example(barrier_graph(4, 4).graph, C4, 1)
+@example(complete_3graph(7), K222, 0)
+@example(complete_k_partite((2, 2, 3)).graph, K122, 2)
+@given(host=blow_ups(ks=(3,), max_n=8), pattern=st.sampled_from((K111, K112, K122, K222, C4)),
+       seed=st.integers(0, 2 ** 16))
+def test_twin_rich_hosts_match_the_oracles(host, pattern, seed):
+    # relabelled, so host twin classes are not runs of consecutive vertices
+    _assert_oracle_answers(_shuffled(host, seed), pattern)
+
+
+def _leaf_embeddings(monkeypatch, host, pattern):
+    """The number of copy sets and of embeddings (leaf candidates) that
+    enumerate_copy_sets reaches them through."""
+    place = solver._place
+    reached = 0
+
+    def counted(host, pattern, leaf, **kwargs):
+        def counting(bits, used, candidates):
+            nonlocal reached
+            reached += candidates.bit_count()
+            return leaf(bits, used, candidates)
+        return place(host, pattern, counting, **kwargs)
+
+    monkeypatch.setattr(solver, "_place", counted)
+    return len(enumerate_copy_sets(host, pattern).sets), reached
+
+
+def test_host_twins_reach_each_copy_set_once(monkeypatch):
+    # the plain search reaches these sets through 835,380 and 102,960
+    # embeddings; on the complete host every vertex is one class
+    assert _leaf_embeddings(monkeypatch, complete_3graph(18), C4) == (18564, 18564)
+    assert _leaf_embeddings(monkeypatch, barrier_graph(13, 11).graph, K222) == (27456, 27456)
 
 
 # (pattern, host, copy, copy sets): past 19 positions the search goes on in
@@ -719,6 +771,16 @@ def test_plans_past_the_nesting_limit(pattern, host, copy, count):
     assert enum.witnesses[enum.sets[0]].images == copy
 
 
+def test_twin_rich_deep_cases_take_the_host_sorted_kernel(monkeypatch):
+    sorted_kernel, compiled = solver._sorted_kernel, []
+    monkeypatch.setattr(solver, "_sorted_kernel",
+                        lambda pattern: compiled.append(pattern) or sorted_kernel(pattern))
+    for pattern, host, copy, count in DEEP_CASES[2:]:
+        enum = enumerate_copy_sets(host, pattern)
+        assert (len(enum.sets), enum.witnesses[enum.sets[0]].images) == (count, copy)
+    assert compiled == [K777, KST2_10]
+
+
 def test_twin_bound_crosses_the_kernel_split():
     pattern, host = DEEP_CASES[-1][:2]
     plan = solver._plan(pattern)
@@ -727,12 +789,43 @@ def test_twin_bound_crosses_the_kernel_split():
     reached = _reached(host, pattern)
     assert reached == oracles.pruned_ordered_embeddings(
         host.n, host.edges, pattern.edges, plan.order, plan.twin)
+    assert _reached(host, pattern, True) == oracles.host_sorted(
+        host.n, host.edges, reached, plan.order)
     enum = enumerate_copy_sets(host, pattern)
     first = {}
     for images in reached:
         first.setdefault(tuple(sorted(images)), images)
     assert enum.sets == tuple(sorted(first))
     assert {vs: w.images for vs, w in enum.witnesses.items()} == first
+
+
+def _tight_path(n, start=0):
+    return [(v, v + 1, v + 2) for v in range(start, start + n - 2)]
+
+
+# Tight paths on 18 and on 4 vertices; the host has a K^3_4, one twin class,
+# in place of the short path.  The short path's vertices take positions 18
+# to 21, and 19 and 20 hold vertices that are not pattern twins.
+TWO_PATHS = build(3, 22, _tight_path(18) + _tight_path(4, 18))
+PATH_AND_K4 = _shuffled(
+    build(3, 22, _tight_path(18) + list(itertools.combinations(range(18, 22), 3))), 1)
+
+
+def test_host_rule_crosses_the_kernel_split():
+    pattern, host = TWO_PATHS, PATH_AND_K4
+    plan = solver._plan(pattern)
+    assert plan.order[18:] == (19, 20, 18, 21) and plan.twin[18:] == (-1, 18, -1, 20)
+    reached = oracles.pruned_ordered_embeddings(
+        host.n, host.edges, pattern.edges, plan.order, plan.twin)
+    assert _reached(host, pattern) == reached and len(reached) == 12
+    # the rule acts in the second function: the short path's four images
+    # increase, in one of the two directions of the long path
+    sorted_reached = _reached(host, pattern, True)
+    assert sorted_reached == oracles.host_sorted(host.n, host.edges, reached, plan.order)
+    assert len(sorted_reached) == 2
+    enum = enumerate_copy_sets(host, pattern)
+    assert enum.sets == (tuple(range(22)),)
+    assert enum.witnesses[enum.sets[0]].images == reached[0]
 
 
 @settings(max_examples=100)
@@ -865,6 +958,20 @@ def test_twin_keyed_cover_is_the_raw_mask_cover(case):
         lambda: _exact_cover_first(_table(g.n, sets, solver._twin_classes(g)), target))
     assert twin == raw
     assert twin_calls <= raw_calls
+
+
+@settings(max_examples=100)
+@given(blow_up_covers(), st.lists(st.integers(0, 2 ** 12 - 1), max_size=6))
+def test_covers_over_one_table_may_share_failed_states(case, targets):
+    # a state fails by the table alone, so one `dead` set serves every
+    # target, raw-mask or twin-keyed
+    g, pattern, first = case
+    sets = enumerate_copy_sets(g, pattern).sets
+    everything = (1 << g.n) - 1
+    for classes in ((), solver._twin_classes(g)):
+        table, dead = _table(g.n, sets, classes), set()
+        for target in (first, *(t & everything for t in targets)):
+            assert _exact_cover_first(table, target, dead) == _exact_cover_first(table, target)
 
 
 def _key(table, mask):

@@ -6,7 +6,8 @@ Run from the repository root:
 
 Each row prints one JSON line: the row's name, its layer and the code it
 runs, the best CPU seconds over the repeats (`total_s`), the part of it spent
-in copy-set enumeration (`enumeration_s`), the answer, the SHA-256 of the
+in copy-set enumeration (`enumeration_s`; these and `cover_s` to 6 decimals,
+the fastest picked on unrounded seconds), the answer, the SHA-256 of the
 answer's JSON (the sweep and `probe close` answers hold the SHA-256 of the
 command's stdout), and the line count and git revision of the package it
 imported.
@@ -50,12 +51,17 @@ counts the build of the host's link table, which the codegrees read; an
 untimed run before the timed ones builds the host.  It has no split.
 The "census" row times the sigma census of the threshold claim of
 `hypertile verify` (`experiments.three_partite_sigma_census`, n = 3..6) and
-the "construction" row the edges of `field_product_graph(13)` with their
+the `fieldprod13-edges` row the edges of `field_product_graph(13)` with their
 cache emptied before each run (`constructions._product_graph_edges`); an
 untimed run before the timed ones builds the triple lists and the field
-tables they read.  They have no split.  The `probe-exactness` row runs the
-probe-exactness claim of `hypertile verify --seed 1`: 438 connector probes
-over 20 hosts, with a robust-vector count and a goodness check per host.
+tables they read.  They have no split.  The other "construction" row,
+`host-barrier6059`, times `barrier_graph(60, 59)` whole, and its answer is
+the edge count; one more untimed run traces the build with `tracemalloc`
+and adds `held_kb`, what the returned construction holds, and `peak_kb`,
+the most the build held at once, beside the answer.
+The `probe-exactness` row runs the probe-exactness claim of `hypertile
+verify --seed 1`: 438 connector probes over 20 hosts, with a robust-vector
+count and a goodness check per host.
 The other probe rows empty the copy-set table that connector probes keep
 for their last host (`probes._connector_table`) before each run, so each
 run times a probe that builds its table.
@@ -101,6 +107,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import hypertile
 from hypertile import (barrier_graph, build, cli, complete_k_partite, constructions,
@@ -471,6 +478,9 @@ ROWS = {
     "fieldprod13-edges": (CONSTRUCTION, "constructions._product_graph_edges(13)"
                                         " after its cache_clear()",
                           lambda: _fresh_product_edges(13)),
+    # 119 vertices, 136,880 edges: what a host holds per edge.
+    "host-barrier6059": (CONSTRUCTION, "barrier_graph(60, 59)",
+                         lambda: {"edges": barrier_graph(60, 59).graph.edge_count}),
     "cli-import": (IMPORT, 'python -c "import hypertile.cli"', _cli_import),
     "cli-command": (PROCESS, f"python -m hypertile.cli probe connectors <{RANDOM14}>"
                              " --pattern <K(1,1,1)> -x 0 -y 1 -i 1",
@@ -484,6 +494,9 @@ ROWS = {
     "invariants-sparse14": (CHECKERS, "invariants(build(3, 14, [(0, 1, 2)]))",
                             lambda: _invariant_report(SPARSE14)),
 }
+
+# Rows whose untimed run also traces the memory of a build: name: build.
+HELD = {"host-barrier6059": lambda: barrier_graph(60, 59)}
 
 
 # A loop of about 0.17 s (2-vCPU shared VM, Python 3.11.7): over 8 processes
@@ -542,6 +555,19 @@ def _search_calls(run, names=SEARCHES, files=(solver.__file__,)) -> int:
     return calls
 
 
+def _held_kb(build) -> dict:
+    """KB that build()'s result holds and the most that its build held at
+    once, traced by tracemalloc."""
+    tracemalloc.start()
+    try:
+        kept = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return {"held_kb": round(held / 1024, 1), "peak_kb": round(peak / 1024, 1)}
+
+
 def measure(name: str, repeat: int) -> dict:
     """The row's fastest run (the process rows: their medians), with its layer
     split and its answer."""
@@ -567,7 +593,8 @@ def measure(name: str, repeat: int) -> dict:
         leaves = _leaf_counts(run)      # also builds the hosts, link tables and plan untimed
     elif layer in PREPARED:
         run()                   # builds the hosts, their link tables and the plan untimed
-    best = None
+    held = _held_kb(HELD[name]) if name in HELD else {}
+    best = best_total = None
     for _ in range(repeat):
         clock = _Clock()
         for (module, field), fn in originals.items():
@@ -580,16 +607,17 @@ def measure(name: str, repeat: int) -> dict:
         finally:
             for (module, field), fn in originals.items():
                 setattr(module, field, fn)
-        if best is None or total < best["total_s"]:
+        if best is None or total < best_total:
+            best_total = total
             best = {"row": name, "layer": layer, "code": code,
-                    "unit": f"s CPU, fastest of {repeat}", "total_s": round(total, 3),
+                    "unit": f"s CPU, fastest of {repeat}", "total_s": round(total, 6),
                     "reference_s": reference}
             if layer == CHECKERS:
                 best["search_nodes"] = nodes
             elif layer not in (TWINS, COPY_SEARCH, PLAN, DEGREE, CENSUS, CONSTRUCTION):
-                best["enumeration_s"] = round(clock.enumeration, 3)
+                best["enumeration_s"] = round(clock.enumeration, 6)
             if layer == "tiling":
-                best["cover_s"] = round(clock.tiling - clock.enumeration, 3)
+                best["cover_s"] = round(clock.tiling - clock.enumeration, 6)
             elif layer == "probe":
                 best["enumerations"] = clock.calls["enumeration"]
                 best["tilings"] = clock.calls["tiling"]
@@ -599,7 +627,7 @@ def measure(name: str, repeat: int) -> dict:
     if layer not in (PLAN, *PREPARED):
         best["cover_calls"] = _search_calls(run)
         leaves = _leaf_counts(run)
-    return {**best, **(leaves or {}), **_package_meta()}
+    return {**best, **held, **(leaves or {}), **_package_meta()}
 
 
 def main() -> int:

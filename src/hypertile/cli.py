@@ -307,24 +307,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="absorption-style exact probes")
     probe_sub = p.add_subparsers(dest="probe", required=True)
 
-    q = probe_sub.add_parser("connectors")
-    q.add_argument("host")
-    q.add_argument("--pattern", required=True)
-    q.add_argument("-x", type=int, required=True)
-    q.add_argument("-y", type=int, required=True)
-    q.add_argument("-i", type=int, default=1)
-    q.add_argument("--budget", type=int, default=None)
-    q.set_defaults(func=_probe_connectors)
+    def connector_probe(name, func):
+        q = probe_sub.add_parser(name)
+        q.add_argument("host")
+        q.add_argument("--pattern", required=True)
+        q.add_argument("-x", type=int, required=True)
+        q.add_argument("-y", type=int, required=True)
+        q.add_argument("-i", type=int, default=1)
+        q.set_defaults(func=func)
+        return q
 
-    q = probe_sub.add_parser("close")
-    q.add_argument("host")
-    q.add_argument("--pattern", required=True)
-    q.add_argument("-x", type=int, required=True)
-    q.add_argument("-y", type=int, required=True)
-    q.add_argument("-i", type=int, default=1)
+    q = connector_probe("connectors", _probe_connectors)
+    q.add_argument("--budget", type=int, default=None)
+    q = connector_probe("close", _probe_close)
     q.add_argument("--eta", type=_rational, required=True)
     q.add_argument("--budget", type=int, default=None)
-    q.set_defaults(func=_probe_close)
 
     q = probe_sub.add_parser("robust")
     q.add_argument("host")

@@ -1,9 +1,9 @@
 """k-uniform hypergraphs with exact degree and induced-subgraph queries.
 
-Vertices are the integers 0..n-1.  Edges are stored as sorted tuples in
-lexicographic order, so equality, hashing, iteration, and file output are
-all deterministic.  Every count returned here is an exact integer; no
-floating point enters this module.
+Vertices are the integers 0..n-1.  Edges are stored once, as sorted tuples in
+lexicographic order, so equality, hashing, iteration, and file output are all
+deterministic; `edge_set()` builds a frozenset on call, as keeping one would
+double a large host's memory.  Counts are exact integers, never floats.
 
 The structure queries that the solver's plans and searches read live here
 too: whether a graph is complete partite (`_partite_parts`) or a K_{s,t}
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -41,9 +42,10 @@ def vertex_set(vertices: Iterable[int]) -> VertexSet:
 
 
 class Hypergraph:
-    """Immutable k-uniform hypergraph on vertices 0..n-1, k >= 2."""
+    """Immutable k-uniform hypergraph on vertices 0..n-1, k >= 2.  It holds its edges
+    once: a kept frozenset would double its memory, so `edge_set()` builds one per call."""
 
-    __slots__ = ("k", "n", "edges", "_edge_set", "_hash")
+    __slots__ = ("k", "n", "edges", "_hash")
 
     def __init__(self, k: int, n: int, edges: Iterable[Iterable[int]] = ()):
         if k < 2:
@@ -63,7 +65,6 @@ class Hypergraph:
         self.k = k
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(sorted(canon))
-        self._edge_set = frozenset(canon)
         self._hash: int | None = None
 
     # -- basic queries -------------------------------------------------
@@ -73,15 +74,16 @@ class Hypergraph:
         return len(self.edges)
 
     def has_edge(self, e: Iterable[int]) -> bool:
-        return tuple(sorted(e)) in self._edge_set
+        i = bisect_left(self.edges, e := tuple(sorted(e)))
+        return self.edges[i:i + 1] == (e,)
 
     def edge_set(self) -> frozenset[Edge]:
-        return self._edge_set
+        return frozenset(self.edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return self.k == other.k and self.n == other.n and self._edge_set == other._edge_set
+        return (self.k, self.n, self.edges) == (other.k, other.n, other.edges)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -95,7 +97,7 @@ class Hypergraph:
 
     def with_edges(self, extra: Iterable[Iterable[int]]) -> "Hypergraph":
         """New graph with `extra` edges added (duplicates collapse)."""
-        return Hypergraph(self.k, self.n, list(self.edges) + [tuple(e) for e in extra])
+        return Hypergraph(self.k, self.n, itertools.chain(self.edges, extra))
 
     # -- degree queries ------------------------------------------------
 
@@ -111,7 +113,7 @@ class Hypergraph:
         if len(s) > self.k:
             raise ValidationError(f"degree set has {len(s)} vertices, uniformity is {self.k}")
         if len(s) == self.k:
-            return 1 if s in self._edge_set else 0
+            return int(self.has_edge(s))
         if len(s) == self.k - 1:
             return _links(self).get(sum(1 << v for v in s), 0).bit_count()
         ss = set(s)

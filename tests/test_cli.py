@@ -454,6 +454,15 @@ def test_every_subcommand_has_its_own_handler_and_help(capsys):
         assert capsys.readouterr().out.startswith(f"usage: {' '.join(('hypertile', *path))}")
 
 
+def test_connector_probes_share_their_arguments_in_order():
+    from hypertile.cli import _build_parser
+    leaves = dict(_leaf_commands(_build_parser()))
+    shared = [["host"], ["--pattern"], ["-x"], ["-y"], ["-i"]]
+    for name, own in (("connectors", [["--budget"]]), ("close", [["--eta"], ["--budget"]])):
+        actions = leaves["probe", name]._actions
+        assert [a.option_strings or [a.dest] for a in actions] == [["-h", "--help"], *shared, *own]
+
+
 def test_budget_env_var(capsys, b75_path, k222_path, monkeypatch):
     monkeypatch.setenv("HYPERTILE_BUDGET", "5")
     assert main(["tile", b75_path, "--pattern", k222_path]) == 3

@@ -48,6 +48,56 @@ def test_with_edges():
     assert g.edges == ((0, 1, 2),)  # original untouched
 
 
+@st.composite
+def unsorted_edge_lists(draw):
+    """(k, n, edges): k = 2, 3 or 4, each edge a k-subset in shuffled order,
+    the list itself unsorted and holding repeats."""
+    k = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(k, 7))
+    picks = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), k))),
+                          max_size=20))
+    picks += picks[:draw(st.integers(0, len(picks)))]
+    return k, n, [draw(st.permutations(e)) for e in draw(st.permutations(picks))]
+
+
+@given(unsorted_edge_lists(), st.data())
+def test_edges_stored_once_answer_as_a_frozenset_would(case, data):
+    k, n, raw = case
+    oracle = frozenset(tuple(sorted(e)) for e in raw)
+    g = build(k, n, raw)
+    assert Hypergraph.__slots__ == ("k", "n", "edges", "_hash")
+    assert g.edge_set() == oracle and isinstance(g.edge_set(), frozenset)
+    for s in itertools.combinations(range(n), k):
+        assert g.has_edge(s) == g.has_edge(s[::-1]) == (s in oracle)
+        assert g.degree(s) == (s in oracle)
+    permuted = build(k, n, data.draw(st.permutations(raw)))
+    assert permuted == g and hash(permuted) == hash(g)
+    cut = data.draw(st.integers(0, len(raw)))
+    assert build(k, n, raw[:cut]).with_edges(e for e in raw[cut:]) == g
+    if oracle:
+        dropped = data.draw(st.sampled_from(sorted(oracle)))
+        smaller = build(k, n, [e for e in raw if tuple(sorted(e)) != dropped])
+        assert smaller != g and g != smaller
+        assert not smaller.has_edge(dropped) and g.has_edge(dropped)
+        absent = [s for s in itertools.combinations(range(n), k) if s not in oracle]
+        if absent:      # as many edges, one of them different
+            swapped = smaller.with_edges([data.draw(st.sampled_from(absent))])
+            assert swapped.edge_count == g.edge_count and swapped != g
+
+
+def test_has_edge_at_the_bisect_boundaries():
+    g = build(3, 6, [(3, 2, 1), (2, 4, 3)])
+    assert g.has_edge((1, 2, 3)) and g.has_edge((2, 3, 4))  # first and last
+    assert not g.has_edge((3, 4, 5))          # past the last edge
+    assert not g.has_edge((0, 1, 2))          # before the first
+    assert not g.has_edge((1, 2))             # a prefix of the first edge
+    assert not g.has_edge((2, 3, 4, 5))       # the last edge and one more
+    assert not g.has_edge(())
+    assert not g.has_edge((2, 3, 6))          # vertex 6 is out of range
+    assert not g.has_edge((-1, 1, 2))
+    assert not build(3, 6).has_edge((1, 2, 3))
+
+
 # k = 2, 3 and 4, so s = k-1 (read from the link table) meets each
 # uniformity; the examples leave a (k-1)-set in no edge
 DEGREE_HOSTS = hypergraphs(max_n=7) | hypergraphs(k=2, max_n=7) | hypergraphs(k=4, max_n=7)

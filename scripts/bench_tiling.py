@@ -33,11 +33,13 @@ run before the timed ones.  The realisation search in `invariants.py` is one
 loop with no call per node, so its rows (`sigma-census`,
 `invariants-sparse14`) read null; their untimed run builds the census graphs
 outside the timing.
-The "twin classes" row times the host twin-class search alone
-(`solver._twin_classes`, bypassing its cache where it has one) and has no
-split; one untimed run before the timed ones builds the host and the
-solver's link table for it (`solver._links`), which the search reads.  Its
-answer is the class sizes.
+The "twin classes" rows time the host twin-class search alone
+(`core._twin_classes`, bypassing its cache where it has one) on a twin-rich
+and a twin-free host and have no split; one untimed run before the timed
+ones builds the host and its link table (`core._links`), which the search
+reads, and one more traces the search with `tracemalloc` and adds
+`held_kb` and `peak_kb` beside the answer, as the construction row does.
+Their answer is the class sizes.
 The "copy search" row times one `contains_copy` and the "enumeration" rows
 the copy-set enumerations of the barrier-parity claim of `hypertile
 verify`, of K(7,7,7) in itself and of K(3,5,7) in K(4,6,8); an untimed run
@@ -110,7 +112,7 @@ import time
 import tracemalloc
 
 import hypertile
-from hypertile import (barrier_graph, build, cli, complete_k_partite, constructions,
+from hypertile import (barrier_graph, build, cli, complete_k_partite, constructions, core,
                        experiments, field_product_graph, hgio, k_st, probes, solver)
 
 
@@ -314,8 +316,13 @@ def _probe_claim(seed):
     return {"passed": ok, **details}
 
 
+@functools.lru_cache(maxsize=None)
+def _random100():
+    return experiments.random_hypergraph(random.Random(0), 3, 100, 0.5)
+
+
 def _twin_class_sizes(host):
-    search = getattr(solver._twin_classes, "__wrapped__", solver._twin_classes)
+    search = getattr(core._twin_classes, "__wrapped__", core._twin_classes)
     return {"class_sizes": [c.bit_count() for c in search(host)]}
 
 
@@ -446,8 +453,11 @@ ROWS = {
         "probe", f"count_connectors({SPARSE100}, complete_k_partite((1, 1, 1)), 0, 1, 1)",
         lambda: _connectors(_random_host(0, 100, 0.002), K111, 1)),
     # n = 192, two classes: the size of the quotient decision's hosts.
-    "twins-barrier9795": (TWINS, "solver._twin_classes(barrier_graph(97, 95))",
+    "twins-barrier9795": (TWINS, "core._twin_classes(barrier_graph(97, 95))",
                           lambda: _twin_class_sizes(_barrier_host(97, 95))),
+    # Twin-free: every candidate pair fails.
+    "twins-random100": (TWINS, f"core._twin_classes({DENSE100})",
+                        lambda: _twin_class_sizes(_random100())),
     # The two searches of `hypertile verify` that spend the most time in
     # the embedder: the product-graph-free and barrier-parity claims.
     "fieldprod11-k122": (COPY_SEARCH, "contains_copy(field_product_graph(11), complete_k_partite((1, 2, 2)))",
@@ -495,8 +505,10 @@ ROWS = {
                             lambda: _invariant_report(SPARSE14)),
 }
 
-# Rows whose untimed run also traces the memory of a build: name: build.
-HELD = {"host-barrier6059": lambda: barrier_graph(60, 59)}
+# Rows whose untimed run also traces the memory of one call: name: call.
+HELD = {"host-barrier6059": lambda: barrier_graph(60, 59),
+        "twins-barrier9795": ROWS["twins-barrier9795"][2],
+        "twins-random100": ROWS["twins-random100"][2]}
 
 
 # A loop of about 0.17 s (2-vCPU shared VM, Python 3.11.7): over 8 processes

@@ -6,11 +6,12 @@ deterministic; `edge_set()` builds a frozenset on call, as keeping one would
 double a large host's memory.  Counts are exact integers, never floats.
 
 The structure queries that the solver's plans and searches read live here
-too: whether a graph is complete partite (`_partite_parts`) or a K_{s,t}
-shape (`_kst_shape`), and, each cached for the last eight graphs, the link
-of every (k-1)-set (`_links`), which the codegrees also read, and the
-classes of vertices whose swap is an automorphism (`_twin_classes`), from
-which `_host_keep` derives the masks the embedder keeps free on a host with
+too: whether a graph is complete partite (`_partite_parts`, from each
+vertex's edge neighbours `_near`, which the realisation search also reads)
+or a K_{s,t} shape (`_kst_shape`), and, each cached for the last eight
+graphs, the link of every (k-1)-set (`_links`), which the codegrees also
+read, and, from it alone, the twin classes (`_twin_classes`), from which
+`_host_keep` derives the masks the embedder keeps free on a host with
 twins.  Every command compiles `solver.py` when no bytecode is cached, and
 its compile peak sets the floor of a short command's peak memory, so code
 that needs no search state stays out of it.
@@ -237,6 +238,18 @@ def build(k: int, n: int, edges: Iterable[Iterable[int]] = ()) -> Hypergraph:
     return Hypergraph(k, n, edges)
 
 
+def _near(graph: Hypergraph) -> list[int]:
+    """Per vertex, the mask of the vertices of the edges through it."""
+    near = [0] * graph.n
+    for e in graph.edges:
+        full = 0
+        for v in e:
+            full |= 1 << v
+        for v in e:
+            near[v] |= full
+    return near
+
+
 def _partite_parts(pattern: Hypergraph) -> tuple[VertexSet, ...] | None:
     """Parts of the pattern if it is complete k-partite, else None.
 
@@ -247,13 +260,8 @@ def _partite_parts(pattern: Hypergraph) -> tuple[VertexSet, ...] | None:
     would put both owners in its own part), and every edge is a transversal:
     equal counts then make the edges all the transversals.  An isolated
     vertex's part is every vertex, one too many."""
-    near = [0] * pattern.n                      # per vertex: the vertices of its edges
-    for e in pattern.edges:
-        full = sum(1 << v for v in e)
-        for v in e:
-            near[v] |= full
-    parts = {tuple(u for u in range(pattern.n) if u == v or not near[v] >> u & 1)
-             for v in range(pattern.n)}
+    parts = {tuple(u for u in range(pattern.n) if u == v or not near >> u & 1)
+             for v, near in enumerate(_near(pattern))}
     if len(parts) != pattern.k or math.prod(map(len, parts)) != pattern.edge_count:
         return None
     return tuple(sorted(parts, key=lambda p: (len(p), p)))
@@ -304,44 +312,40 @@ def _links(host: Hypergraph) -> dict[int, int]:
 
 @lru_cache(maxsize=8)
 def _twin_classes(graph: Hypergraph) -> list[int]:
-    """Vertex masks of the graph's twin classes, by smallest vertex.  Each
-    vertex u is tested against one member v of each earlier class that can
-    hold a twin: for any rest r of u (the mask e - u of an edge e through
-    u), a twin lies in r or completes r to an edge, so the candidates are r
-    and its link.  The swap of u and v is an automorphism exactly when u and
-    v have equal degrees and, for every rest r of u, v is in r or in r's
-    link: it fixes the edges through both, maps an edge r + u that misses v
-    to r + v, an edge exactly when v is in r's link, and so maps the edges
-    through u into those through v, onto them when the degrees are equal;
-    as an involution it then maps the edges through v back."""
-    rests: list[list[int]] = [[] for _ in range(graph.n)]
-    for e in graph.edges:
-        full = 0
-        for v in e:
-            full |= 1 << v
-        for v in e:
-            rests[v].append(full ^ (1 << v))
+    """Vertex masks of the graph's twin classes, by smallest vertex, read
+    from the link table alone.  Swapping u and v fixes every edge through
+    both or neither and maps an edge S + u + x that misses v to S + v + x,
+    so it is an automorphism exactly when L(S + u) - v = L(S + v) - u for
+    every (k-2)-set S that avoids u and v.  Each vertex u is tested against
+    one member v of each earlier class that can hold a twin: for the rest r
+    of one edge through u, a twin lies in r or completes r to an edge, so
+    the candidates are r and its link, and the vertices in no edge are one
+    class."""
     link = _links(graph)
+    get = link.get
+    sets = [sum(s) for s in itertools.combinations([1 << v for v in range(graph.n)], graph.k - 2)]
     bare = 0                                    # the vertices in no edge
     class_of: list[int] = []
     classes: list[int] = []
-    for u, mine in enumerate(rests):
-        if mine:
-            candidates = (mine[0] | link[mine[0]]) & ((1 << u) - 1)
+    for u in range(graph.n):
+        bu = 1 << u
+        if r := next((s | ends & -ends for s in sets if not s & bu and (ends := get(s | bu))), 0):
+            candidates = (r | link[r]) & (bu - 1)
         else:
             candidates = bare
-            bare |= 1 << u
+            bare |= bu
         while candidates:
-            v = (candidates & -candidates).bit_length() - 1
-            if len(mine) == len(rests[v]) and all(
-                    r >> v & 1 or link[r] >> v & 1 for r in mine):
+            bv = candidates & -candidates
+            v = bv.bit_length() - 1
+            if all(get(s | bu, 0) & ~bv == get(s | bv, 0) & ~bu
+                   for s in sets if not s & (bu | bv)):
                 class_of.append(class_of[v])
-                classes[class_of[v]] |= 1 << u
+                classes[class_of[v]] |= bu
                 break
             candidates &= ~classes[class_of[v]]
         else:
             class_of.append(len(classes))
-            classes.append(1 << u)
+            classes.append(bu)
     return classes
 
 

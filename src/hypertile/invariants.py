@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import Hypergraph, Partition
+from .core import Hypergraph, Partition, _near
 from .errors import NotKPartiteError, ValidationError
 
 # The realisation search is exponential in the pattern's order, so
@@ -59,13 +59,7 @@ def _class_masks(pattern: Hypergraph) -> tuple[list[tuple[int, ...]], list[int]]
         raise ValidationError(
             f"pattern has {n} vertices; realisation enumeration is capped at "
             f"{MAX_PATTERN_VERTICES}")
-    conflicts = [0] * n
-    for e in pattern.edges:
-        full = 0
-        for v in e:
-            full |= 1 << v
-        for v in e:
-            conflicts[v] |= full
+    conflicts = _near(pattern)
     if pattern.edges:
         searched = [v for v, c in enumerate(conflicts) if c]
         isolated = [v for v, c in enumerate(conflicts) if not c]

@@ -9,7 +9,8 @@ first witness found is a stable function of the input.
 
 Vertices u and v are twins when swapping them is an automorphism.  Twinhood
 is an equivalence, any permutation inside its classes is an automorphism,
-and `_twin_classes` finds the classes of patterns and hosts alike.
+and `_twin_classes` finds the classes of patterns and hosts alike from the
+link table alone.
 
 Pattern structure is analysed once per pattern and cached, and copies are
 found by one search, an ordered bitset embedder: pattern vertices are

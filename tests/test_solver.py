@@ -546,6 +546,12 @@ def blow_ups(draw, ks=(2, 3, 4), max_n=9):
 @settings(max_examples=200)
 @example(barrier_graph(4, 3).graph)
 @example(build(3, 4, []))                     # one class of bare vertices
+@example(build(2, 8, [(0, 1), (2, 3), (4, 5), (6, 7)]))    # k = 2: S is only the empty set
+@example(build(2, 3, [(0, 1), (1, 2)]))       # 1 is tested against 0, not its twin
+@example(build(3, 7, barrier_graph(4, 3).graph.edges[1:]))
+# The one missing edge {0, 3, 4, 5} tells 1 from 0 only through the rest
+# {3, 4, 5}: on its k - 1 subsets S, the last three 2-sets of the order.
+@example(build(4, 6, [e for e in itertools.combinations(range(6), 4) if e != (0, 3, 4, 5)]))
 @given(blow_ups() | hypergraphs(k=2, max_n=7) | hypergraphs(max_n=7)
        | hypergraphs(k=4, max_n=7))
 def test_twin_classes_match_the_oracle(g):

@@ -53,14 +53,17 @@ counts the build of the host's link table, which the codegrees read; an
 untimed run before the timed ones builds the host.  It has no split.
 The "census" row times the sigma census of the threshold claim of
 `hypertile verify` (`experiments.three_partite_sigma_census`, n = 3..6) and
-the `fieldprod13-edges` row the edges of `field_product_graph(13)` with their
-cache emptied before each run (`constructions._product_graph_edges`); an
-untimed run before the timed ones builds the triple lists and the field
-tables they read.  They have no split.  The other "construction" row,
-`host-barrier6059`, times `barrier_graph(60, 59)` whole, and its answer is
-the edge count; one more untimed run traces the build with `tracemalloc`
-and adds `held_kb`, what the returned construction holds, and `peak_kb`,
-the most the build held at once, beside the answer.
+the `fieldprod13-edges` row `field_product_graph(13)` whole, its answer the
+edges; an untimed run before the timed ones builds what they read, the
+census's triple lists and the field tables.  They have no split.  The other "construction" rows, `host-barrier6059` and
+`host-fortified979511`, time `barrier_graph(60, 59)` and
+`fortified_barrier(97, 95, 11)` whole, and their answer is the edge count;
+one more untimed run traces the build with `tracemalloc` and adds
+`held_kb`, what the returned construction holds, and `peak_kb`, the most
+the build held at once, beside the answer.  In a revision that caches
+product edge lists (`constructions._product_graph_edges` and
+`_mirrored_graph_edges`), the field-product rows empty those caches before
+every run, so each run builds its edges.
 The `probe-exactness` row runs the probe-exactness claim of `hypertile
 verify --seed 1`: 438 connector probes over 20 hosts, with a robust-vector
 count and a goodness check per host.
@@ -113,7 +116,8 @@ import tracemalloc
 
 import hypertile
 from hypertile import (barrier_graph, build, cli, complete_k_partite, constructions, core,
-                       experiments, field_product_graph, hgio, k_st, probes, solver)
+                       experiments, field_product_graph, fortified_barrier, hgio, k_st, probes,
+                       solver)
 
 
 class _Clock:
@@ -305,10 +309,24 @@ def _census_build():
                                        for n, c in census.items()]}
 
 
+def _forget_edge_caches():
+    """Empty the product edge-list caches, in a revision that keeps them,
+    so that a construction row times a build of the edges in every run."""
+    for name in ("_product_graph_edges", "_mirrored_graph_edges"):
+        kept = getattr(constructions, name, None)
+        if kept is not None:
+            kept.cache_clear()
+
+
 def _fresh_product_edges(q):
-    constructions._product_graph_edges.cache_clear()
-    edges = constructions._product_graph_edges(q)
+    _forget_edge_caches()
+    edges = field_product_graph(q).graph.edges
     return {"edges": len(edges), "edges_sha256": hashlib.sha256(repr(edges).encode()).hexdigest()}
+
+
+def _fresh_fortified(a, b, q):
+    _forget_edge_caches()
+    return fortified_barrier(a, b, q)
 
 
 def _probe_claim(seed):
@@ -485,12 +503,14 @@ ROWS = {
     "sigma-census-build": (CENSUS, "experiments.three_partite_sigma_census(n) for n = 3..6",
                            _census_build),
     # 144 vertices, 37,224 edges.
-    "fieldprod13-edges": (CONSTRUCTION, "constructions._product_graph_edges(13)"
-                                        " after its cache_clear()",
+    "fieldprod13-edges": (CONSTRUCTION, "field_product_graph(13).graph.edges",
                           lambda: _fresh_product_edges(13)),
     # 119 vertices, 136,880 edges: what a host holds per edge.
     "host-barrier6059": (CONSTRUCTION, "barrier_graph(60, 59)",
                          lambda: {"edges": barrier_graph(60, 59).graph.edge_count}),
+    # 192 vertices: the barrier(97, 95) edges and the mirrored ones of GF(11).
+    "host-fortified979511": (CONSTRUCTION, "fortified_barrier(97, 95, 11)",
+                             lambda: {"edges": _fresh_fortified(97, 95, 11).graph.edge_count}),
     "cli-import": (IMPORT, 'python -c "import hypertile.cli"', _cli_import),
     "cli-command": (PROCESS, f"python -m hypertile.cli probe connectors <{RANDOM14}>"
                              " --pattern <K(1,1,1)> -x 0 -y 1 -i 1",
@@ -507,6 +527,7 @@ ROWS = {
 
 # Rows whose untimed run also traces the memory of one call: name: call.
 HELD = {"host-barrier6059": lambda: barrier_graph(60, 59),
+        "host-fortified979511": lambda: _fresh_fortified(97, 95, 11),
         "twins-barrier9795": ROWS["twins-barrier9795"][2],
         "twins-random100": ROWS["twins-random100"][2]}
 

@@ -4,6 +4,11 @@ Each builder returns a LabeledConstruction: the graph itself plus the
 semantic vertex partition (named parts) and the parameters, ready for the
 sidecar JSON the CLI writes next to the edge-list file.  Vertex layouts are
 fixed and documented per builder, so outputs are byte-stable across runs.
+
+Each builder hands `Hypergraph` its edges once, as a generator, and keeps
+no list, cache or intermediate graph of them.  The three field-product
+constructions share one pair-by-pair solve of the product identity
+(`_identity_triples`); only the field tables it reads stay cached.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .core import Hypergraph, Partition
 from .errors import UnsupportedFieldError, ValidationError
@@ -49,6 +54,16 @@ def balanced_split(n: int) -> tuple[int, int]:
     return n // 2 + 1, n // 2
 
 
+def _barrier_edges(a: int, b: int) -> Iterator[tuple[int, int, int]]:
+    """Edges of barrier_graph(a, b) in lexicographic order: each vertex v of
+    A with every pair above it in A, then with every pair in B."""
+    part_b = range(a, a + b)
+    for v in range(a):
+        for pair in itertools.chain(itertools.combinations(range(v + 1, a), 2),
+                                    itertools.combinations(part_b, 2)):
+            yield (v,) + pair
+
+
 def barrier_graph(a: int, b: int) -> LabeledConstruction:
     """3-graph on parts A (ids 0..a-1) and B (ids a..a+b-1) whose edges meet
     A in an odd number of vertices (1 or 3).
@@ -59,18 +74,11 @@ def barrier_graph(a: int, b: int) -> LabeledConstruction:
     """
     if a < 0 or b < 0:
         raise ValidationError(f"part sizes must be nonnegative, got ({a}, {b})")
-    part_a = range(a)
-    part_b = range(a, a + b)
-    edges: list[tuple[int, int, int]] = []
-    edges.extend(itertools.combinations(part_a, 3))
-    for v in part_a:
-        for pair in itertools.combinations(part_b, 2):
-            edges.append((v,) + pair)
-    graph = Hypergraph(3, a + b, edges)
+    graph = Hypergraph(3, a + b, _barrier_edges(a, b))
     return LabeledConstruction(
         name="barrier",
         graph=graph,
-        part_map=Partition([part_a, part_b], a + b, allow_empty=True),
+        part_map=Partition([range(a), range(a, a + b)], a + b, allow_empty=True),
         part_names=("A", "B"),
         params={"a": a, "b": b},
     )
@@ -85,9 +93,8 @@ def cone_graph(x: int, y: int, k: int) -> LabeledConstruction:
         raise ValidationError(f"part sizes must be nonnegative, got ({x}, {y})")
     part_x = range(x)
     part_y = range(x, x + y)
-    edges = [(v,) + rest for v in part_x
-             for rest in itertools.combinations(part_y, k - 1)]
-    graph = Hypergraph(k, x + y, edges)
+    graph = Hypergraph(k, x + y, ((v,) + rest for v in part_x
+                                  for rest in itertools.combinations(part_y, k - 1)))
     return LabeledConstruction(
         name="cone",
         graph=graph,
@@ -109,8 +116,7 @@ def complete_k_partite(sizes: tuple[int, ...] | list[int]) -> LabeledConstructio
     for s in sizes:
         parts.append(range(start, start + s))
         start += s
-    edges = list(itertools.product(*parts))
-    graph = Hypergraph(len(sizes), start, edges)
+    graph = Hypergraph(len(sizes), start, itertools.product(*parts))
     return LabeledConstruction(
         name="complete",
         graph=graph,
@@ -132,9 +138,8 @@ def k_st(k: int, s: int, t: int) -> LabeledConstruction:
         raise ValidationError(f"need s, t >= 1, got s = {s}, t = {t}")
     groups = [tuple(range(i * (k - 1), (i + 1) * (k - 1))) for i in range(t)]
     y_part = tuple(range(t * (k - 1), t * (k - 1) + s))
-    edges = [g + (y,) for g in groups for y in y_part]
     n = t * (k - 1) + s
-    graph = Hypergraph(k, n, edges)
+    graph = Hypergraph(k, n, (g + (y,) for g in groups for y in y_part))
     return LabeledConstruction(
         name="kst",
         graph=graph,
@@ -147,11 +152,9 @@ def k_st(k: int, s: int, t: int) -> LabeledConstruction:
 # -- field-product constructions -------------------------------------------
 
 
-def _check_product_order(q: int) -> GF:
-    fld = GF(q)  # raises UnsupportedFieldError off the table
-    if fld.p == 2:
+def _check_product_order(q: int) -> None:
+    if GF(q).p == 2:  # GF raises UnsupportedFieldError off the table
         raise UnsupportedFieldError(f"product construction needs odd q, got {q}")
-    return fld
 
 
 @lru_cache(maxsize=None)
@@ -164,18 +167,20 @@ def _tables(q: int) -> tuple[list[list[int]], list[list[int]]]:
     return add, mul
 
 
-@lru_cache(maxsize=None)
-def _product_graph_edges(q: int) -> tuple[tuple[int, int, int], ...]:
-    """Edges of the product-identity graph, solved pair by pair.
+def _identity_triples(q: int, past_v: bool) -> Iterator[tuple[int, int, int]]:
+    """Solve the product identity pair by pair, in lexicographic order.
 
     Vertex v <-> the pair (x, y) of nonzero elements with indices
     x = v // (q-1) + 1 and y = v % (q-1) + 1 (row-major over the canonical
-    element order).  A 3-set is an edge iff the product of the first
-    components plus the product of the second components equals one.  For a
-    pair u < v with first product a and second product b, each first
-    component f of a third vertex w fixes its second, (1 - a*f) / b, which
-    is a vertex when it is nonzero; w > v needs f at least v's first
-    component, and w grows with f, so the edges come in lexicographic order.
+    element order).  For each pair u < v, yields (u, v, w) for every vertex
+    w, u and v included, whose first component times the pair's first
+    product plus its second component times the pair's second product is
+    one.  With past_v, only the w whose first component is at least v's,
+    which every w > v has.
+
+    The solve is exact: for a pair with first product a and second product
+    b, each first component f fixes at most one second component,
+    (1 - a*f) / b, which is a vertex when it is nonzero; and w grows with f.
     """
     add, mul = _tables(q)
     m = q - 1
@@ -183,23 +188,19 @@ def _product_graph_edges(q: int) -> tuple[tuple[int, int, int], ...]:
     inverse = [0] + [row.index(1) for row in mul[1:]]
     first = [v // m + 1 for v in range(m * m)]
     second = [v % m + 1 for v in range(m * m)]
-    edges = []
     for u, v in itertools.combinations(range(m * m), 2):
         times_a = mul[mul[first[u]][first[v]]]
         over_b = mul[inverse[mul[second[u]][second[v]]]]
-        for f in range(first[v], q):
+        for f in range(first[v] if past_v else 1, q):
             s = over_b[one_minus[times_a[f]]]
             if s:
-                w = (f - 1) * m + s - 1
-                if w > v:
-                    edges.append((u, v, w))
-    return tuple(edges)
+                yield u, v, (f - 1) * m + s - 1
 
 
 def field_product_graph(q: int) -> LabeledConstruction:
     """3-graph on the (q-1)^2 pairs of nonzero GF(q) elements whose edges are
     the triples with first-component product plus second-component product
-    equal to one.
+    equal to one: the solved triples (u, v, w) with w > v.
 
     Contains no complete 3-partite copy with parts (1, 2, 2), because two
     fixed pairs admit at most one common completion, yet every pair of
@@ -207,9 +208,9 @@ def field_product_graph(q: int) -> LabeledConstruction:
     with both components nonzero, and two of them can be the pair's own
     endpoints.  The bound is attained: q = 5, 7, 9, 11 and 13 all reach it.
     """
-    fld = _check_product_order(q)
+    _check_product_order(q)
     n = (q - 1) ** 2
-    graph = Hypergraph(3, n, _product_graph_edges(q))
+    graph = Hypergraph(3, n, (t for t in _identity_triples(q, True) if t[2] > t[1]))
     return LabeledConstruction(
         name="fieldprod",
         graph=graph,
@@ -219,28 +220,11 @@ def field_product_graph(q: int) -> LabeledConstruction:
     )
 
 
-@lru_cache(maxsize=None)
-def _mirrored_graph_edges(q: int) -> tuple[tuple[int, int, int], ...]:
-    """Edges of the mirrored product graph: two base vertices, one mirror."""
-    add, mul = _tables(q)
-    m = q - 1
-    n0 = m * m
-    first = [v // m + 1 for v in range(n0)]
-    second = [v % m + 1 for v in range(n0)]
-    edges = []
-    for u, v in itertools.combinations(range(n0), 2):
-        fu_v = mul[first[u]][first[v]]
-        su_v = mul[second[u]][second[v]]
-        for w in range(n0):
-            if add[mul[fu_v][first[w]]][mul[su_v][second[w]]] == 1:
-                edges.append((u, v, n0 + w))
-    return tuple(edges)
-
-
 def mirrored_product_graph(q: int) -> LabeledConstruction:
     """Doubled product graph: base vertices 0..(q-1)^2-1, mirror vertices
     after them.  Every edge takes exactly two base vertices and one mirror
-    vertex, under the same product identity on the underlying pairs.
+    vertex, under the same product identity on the underlying pairs: each
+    solved triple (u, v, w) gives the edge (u, v, (q-1)^2 + w).
 
     Edges whose mirror vertex is the twin of a base endpoint are kept
     whenever the identity holds.  Each base-side edge of the plain product
@@ -249,7 +233,7 @@ def mirrored_product_graph(q: int) -> LabeledConstruction:
     """
     _check_product_order(q)
     n0 = (q - 1) ** 2
-    graph = Hypergraph(3, 2 * n0, _mirrored_graph_edges(q))
+    graph = Hypergraph(3, 2 * n0, ((u, v, n0 + w) for u, v, w in _identity_triples(q, False)))
     return LabeledConstruction(
         name="mirrorprod",
         graph=graph,
@@ -266,7 +250,8 @@ def fortified_barrier(a: int, b: int, q: int) -> LabeledConstruction:
     first b mirror vertices; the result is the barrier graph on (A, B)
     united with the induced mirrored edges, which raises the mixed-pair
     codegrees while keeping |B| odd, so complete 3-partite factors with
-    even part sizes stay blocked.
+    even part sizes stay blocked.  The two edge sets are disjoint: a barrier
+    edge meets A in one or three vertices, a mirrored edge in two.
     """
     if a % 2 == 0 or b % 2 == 0:
         raise ValidationError(f"both part sizes must be odd, got ({a}, {b})")
@@ -275,14 +260,10 @@ def fortified_barrier(a: int, b: int, q: int) -> LabeledConstruction:
     if a > n0 or b > n0:
         raise ValidationError(
             f"part sizes ({a}, {b}) exceed the {n0} vertices available per side at q = {q}")
-    base = barrier_graph(a, b)
-    edges = set(base.graph.edges)
     # Induced mirrored edges: base ids 0..a-1 keep their ids; mirror id
-    # n0 + j (j < b) becomes a + j.
-    for u, v, w in _mirrored_graph_edges(q):
-        if u < a and v < a and w - n0 < b:
-            edges.add((u, v, a + (w - n0)))
-    graph = Hypergraph(3, a + b, sorted(edges))
+    # n0 + w (w < b) becomes a + w.
+    mirrored = ((u, v, a + w) for u, v, w in _identity_triples(q, False) if v < a and w < b)
+    graph = Hypergraph(3, a + b, itertools.chain(_barrier_edges(a, b), mirrored))
     return LabeledConstruction(
         name="fortified",
         graph=graph,

@@ -20,56 +20,61 @@ def _significant(raw: str) -> str:
 
 
 def parse_hg(source: str | TextIO) -> Hypergraph:
-    """Parse the text format; raises FormatError with the offending line."""
+    """Parse the text format; raises FormatError with the offending line.
+
+    After the header, `build` reads the edge lines one at a time, each
+    checked as it is read, so no list of the edges is kept beside the graph.
+    """
     if isinstance(source, str):
         source = io.StringIO(source)
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    numbered = enumerate(source, start=1)
     lineno = 0
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in numbered:
         text = _significant(raw)
-        if not text:
-            continue
-        fields = text.split()
-        if header is None:
-            if len(fields) != 2:
-                raise FormatError(
-                    f"header must be two integers 'k n', got {text!r}", line=lineno)
-            try:
-                k, n = (int(f) for f in fields)
-            except ValueError:
-                raise FormatError(
-                    f"header must be two integers 'k n', got {text!r}",
-                    line=lineno) from None
-            if k < 2:
-                raise FormatError(f"uniformity must be at least 2, got {k}", line=lineno)
-            if n < 0:
-                raise FormatError(f"vertex count must be nonnegative, got {n}", line=lineno)
-            header = (k, n)
-            continue
-        k, n = header
-        if len(fields) != k:
-            raise FormatError(
-                f"expected {k} vertex ids, got {len(fields)}", line=lineno)
-        try:
-            verts = [int(f) for f in fields]
-        except ValueError:
-            raise FormatError(f"vertex ids must be integers, got {text!r}",
-                              line=lineno) from None
-        for v in verts:
-            if v < 0 or v >= n:
-                raise FormatError(f"vertex {v} out of range 0..{n - 1}", line=lineno)
-        edge = tuple(sorted(verts))
-        if len(set(edge)) != k:
-            raise FormatError(f"repeated vertex in edge {text!r}", line=lineno)
-        if edge in seen:
-            raise FormatError(f"duplicate edge {text!r}", line=lineno)
-        seen.add(edge)
-        edges.append(edge)
-    if header is None:
+        if text:
+            break
+    else:
         raise FormatError("empty input: missing 'k n' header", line=lineno or 1)
-    return build(header[0], header[1], edges)
+    fields = text.split()
+    if len(fields) != 2:
+        raise FormatError(f"header must be two integers 'k n', got {text!r}", line=lineno)
+    try:
+        k, n = (int(f) for f in fields)
+    except ValueError:
+        raise FormatError(f"header must be two integers 'k n', got {text!r}",
+                          line=lineno) from None
+    if k < 2:
+        raise FormatError(f"uniformity must be at least 2, got {k}", line=lineno)
+    if n < 0:
+        raise FormatError(f"vertex count must be nonnegative, got {n}", line=lineno)
+
+    def edges():
+        seen: set[tuple[int, ...]] = set()
+        for lineno, raw in numbered:
+            text = _significant(raw)
+            if not text:
+                continue
+            fields = text.split()
+            if len(fields) != k:
+                raise FormatError(
+                    f"expected {k} vertex ids, got {len(fields)}", line=lineno)
+            try:
+                verts = [int(f) for f in fields]
+            except ValueError:
+                raise FormatError(f"vertex ids must be integers, got {text!r}",
+                                  line=lineno) from None
+            for v in verts:
+                if v < 0 or v >= n:
+                    raise FormatError(f"vertex {v} out of range 0..{n - 1}", line=lineno)
+            edge = tuple(sorted(verts))
+            if len(set(edge)) != k:
+                raise FormatError(f"repeated vertex in edge {text!r}", line=lineno)
+            if edge in seen:
+                raise FormatError(f"duplicate edge {text!r}", line=lineno)
+            seen.add(edge)
+            yield edge
+
+    return build(k, n, edges())
 
 
 def write_hg(graph: Hypergraph, sink: TextIO | None = None,

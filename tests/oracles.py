@@ -111,14 +111,13 @@ def product_pair_degrees(q: int) -> dict:
     return degrees
 
 
-def product_edges(q: int, poly=None) -> list:
-    """Edges of the field product 3-graph by scanning every triple.
+def field_tables(q: int, poly=None) -> tuple:
+    """Addition and multiplication tables of the field of order q.
 
     The field is the integers mod q for a prime q.  For q = p^m pass the
     monic reduction polynomial (coefficients ascending, leading 1 included):
     element i is then the polynomial whose coefficients are the base-p
-    digits of i, lowest first.  Vertices are labelled as in product_vertex,
-    and {u, v, w} is an edge iff u1*v1*w1 + u2*v2*w2 = 1.
+    digits of i, lowest first.
     """
     if poly is None:
         p, m = q, 1
@@ -146,10 +145,41 @@ def product_edges(q: int, poly=None) -> list:
     add = [[number(x + y for x, y in zip(digits(a), digits(b))) for b in range(q)]
            for a in range(q)]
     mul = [[times(a, b) for b in range(q)] for a in range(q)]
+    return add, mul
+
+
+def product_edges(q: int, poly=None) -> list:
+    """Edges of the field product 3-graph by scanning every triple.
+
+    The field is as in field_tables.  Vertices are labelled as in
+    product_vertex, and {u, v, w} is an edge iff u1*v1*w1 + u2*v2*w2 = 1.
+    """
+    add, mul = field_tables(q, poly)
     pts = [product_vertex(q, v) for v in range((q - 1) ** 2)]
     return [(u, v, w) for u, v, w in itertools.combinations(range(len(pts)), 3)
             if add[mul[mul[pts[u][0]][pts[v][0]]][pts[w][0]]]
                   [mul[mul[pts[u][1]][pts[v][1]]][pts[w][1]]] == 1]
+
+
+def mirrored_edges(q: int, poly=None) -> list:
+    """Edges of the mirrored product 3-graph by scanning, for every pair
+    u < v of base vertices, every mirror vertex n0 + w (n0 = (q-1)^2), w = u
+    and w = v included.
+
+    The field is as in field_tables and the labels as in product_vertex;
+    {u, v, n0 + w} is an edge iff u1*v1*w1 + u2*v2*w2 = 1.
+    """
+    add, mul = field_tables(q, poly)
+    n0 = (q - 1) ** 2
+    pts = [product_vertex(q, v) for v in range(n0)]
+    edges = []
+    for u, v in itertools.combinations(range(n0), 2):
+        first = mul[pts[u][0]][pts[v][0]]
+        second = mul[pts[u][1]][pts[v][1]]
+        for w in range(n0):
+            if add[mul[first][pts[w][0]]][mul[second][pts[w][1]]] == 1:
+                edges.append((u, v, n0 + w))
+    return edges
 
 
 def mirrored_mixed_degrees(q: int) -> dict:

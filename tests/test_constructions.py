@@ -1,5 +1,9 @@
+import gc
+import itertools
 import math
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +26,9 @@ from hypertile import (
     parse_hg,
     write_hg,
 )
-from hypertile.constructions import _product_graph_edges
+from hypertile import constructions
+from hypertile.constructions import _identity_triples
+from hypertile.core import Hypergraph
 from hypertile.errors import UnsupportedFieldError, ValidationError
 from hypertile.fields import REDUCTION_POLYS
 
@@ -124,7 +130,77 @@ def test_product_graph_structure():
 @pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13))
 def test_product_graph_edges_match_the_triple_scan(q):
     # every odd order the field table supports up to 13, GF(9) included
-    assert _product_graph_edges(q) == tuple(oracles.product_edges(q, REDUCTION_POLYS.get(q)))
+    scan = tuple(oracles.product_edges(q, REDUCTION_POLYS.get(q)))
+    assert tuple(t for t in _identity_triples(q, True) if t[2] > t[1]) == scan
+    assert field_product_graph(q).graph.edges == scan
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13))
+def test_mirrored_graph_edges_match_the_triple_scan(q):
+    scan = tuple(oracles.mirrored_edges(q, REDUCTION_POLYS.get(q)))
+    assert mirrored_product_graph(q).graph.edges == scan
+
+
+@pytest.mark.parametrize("q", (3, 5))
+def test_fortified_barrier_is_the_barrier_united_with_induced_mirrored_edges(q):
+    n0 = (q - 1) ** 2
+    mirrored = oracles.mirrored_edges(q)
+    for a, b in itertools.product(range(1, n0 + 1, 2), repeat=2):
+        barrier = {e for e in itertools.combinations(range(a + b), 3)
+                   if sum(v < a for v in e) % 2}
+        induced = {(u, v, a + w - n0) for u, v, w in mirrored if v < a and w - n0 < b}
+        assert fortified_barrier(a, b, q).graph.edges == tuple(sorted(barrier | induced))
+
+
+def _handed_edges(builder, args):
+    """The edges a builder hands its Hypergraph, in the order it hands
+    them, and the graph it returns."""
+    handed = []
+
+    def recording(k, n, edges):
+        handed.extend(edges)
+        return Hypergraph(k, n, handed)
+
+    with mock.patch.object(constructions, "Hypergraph", recording):
+        graph = builder(*args).graph
+    return handed, graph
+
+
+_STREAMED = st.one_of(
+    st.tuples(st.just(barrier_graph), st.tuples(st.integers(0, 12), st.integers(0, 12))),
+    st.tuples(st.just(cone_graph),
+              st.tuples(st.integers(0, 5), st.integers(0, 6), st.integers(2, 4))),
+    st.tuples(st.just(complete_k_partite),
+              st.tuples(st.lists(st.integers(1, 3), min_size=2, max_size=4))),
+    st.tuples(st.just(k_st), st.tuples(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3))),
+    st.tuples(st.sampled_from((field_product_graph, mirrored_product_graph)),
+              st.tuples(st.sampled_from((3, 5, 7, 9)))),
+)
+
+
+@given(_STREAMED, st.randoms(use_true_random=False))
+def test_builders_hand_over_sorted_edges_once(built, rng):
+    # fortified_barrier is exempt: it chains two sorted streams
+    builder, args = built
+    handed, graph = _handed_edges(builder, args)
+    assert all(tuple(sorted(e)) == e for e in handed)
+    assert all(e < f for e, f in zip(handed, handed[1:]))
+    rng.shuffle(handed)
+    assert graph == Hypergraph(graph.k, graph.n, handed)
+
+
+def test_builders_keep_no_edges_once_dropped():
+    constructions._tables(11)  # the field tables stay cached, bounded by the field table
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        field_product_graph(11)
+        mirrored_product_graph(5)
+        gc.collect()  # also empties the tuple free list, which keeps up to 2,000 freed edges
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
 
 
 def test_mirrored_graph_structure():

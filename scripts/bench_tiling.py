@@ -57,13 +57,13 @@ the `fieldprod13-edges` row `field_product_graph(13)` whole, its answer the
 edges; an untimed run before the timed ones builds what they read, the
 census's triple lists and the field tables.  They have no split.  The other "construction" rows, `host-barrier6059` and
 `host-fortified979511`, time `barrier_graph(60, 59)` and
-`fortified_barrier(97, 95, 11)` whole, and their answer is the edge count;
-one more untimed run traces the build with `tracemalloc` and adds
-`held_kb`, what the returned construction holds, and `peak_kb`, the most
-the build held at once, beside the answer.  In a revision that caches
-product edge lists (`constructions._product_graph_edges` and
-`_mirrored_graph_edges`), the field-product rows empty those caches before
-every run, so each run builds its edges.
+`fortified_barrier(97, 95, 11)` whole, and `host-shuffled80` one `build`
+from a list made untimed: the edges of a random host (n = 80, p = 0.5,
+seed 0) with every second edge repeated, shuffled by `random.Random(1)` and
+each edge's vertices reversed, the one kind of input that no builder hands
+over.  Their answer is the edge count; one more untimed run traces the
+build with `tracemalloc` and adds `held_kb`, what the returned construction
+holds, and `peak_kb`, the most the build held at once, beside the answer.
 The `probe-exactness` row runs the probe-exactness claim of `hypertile
 verify --seed 1`: 438 connector probes over 20 hosts, with a robust-vector
 count and a goodness check per host.
@@ -115,7 +115,7 @@ import time
 import tracemalloc
 
 import hypertile
-from hypertile import (barrier_graph, build, cli, complete_k_partite, constructions, core,
+from hypertile import (barrier_graph, build, cli, complete_k_partite, core,
                        experiments, field_product_graph, fortified_barrier, hgio, k_st, probes,
                        solver)
 
@@ -309,24 +309,19 @@ def _census_build():
                                        for n, c in census.items()]}
 
 
-def _forget_edge_caches():
-    """Empty the product edge-list caches, in a revision that keeps them,
-    so that a construction row times a build of the edges in every run."""
-    for name in ("_product_graph_edges", "_mirrored_graph_edges"):
-        kept = getattr(constructions, name, None)
-        if kept is not None:
-            kept.cache_clear()
-
-
-def _fresh_product_edges(q):
-    _forget_edge_caches()
+def _product_edges(q):
     edges = field_product_graph(q).graph.edges
     return {"edges": len(edges), "edges_sha256": hashlib.sha256(repr(edges).encode()).hexdigest()}
 
 
-def _fresh_fortified(a, b, q):
-    _forget_edge_caches()
-    return fortified_barrier(a, b, q)
+@functools.lru_cache(maxsize=None)
+def _shuffled80():
+    """The random n = 80 host's edges, every second one twice, shuffled and
+    each with its vertices reversed."""
+    edges = _random_host(0, 80, 0.5).edges
+    stream = [*edges, *edges[::2]]
+    random.Random(1).shuffle(stream)
+    return [e[::-1] for e in stream]
 
 
 def _probe_claim(seed):
@@ -504,13 +499,18 @@ ROWS = {
                            _census_build),
     # 144 vertices, 37,224 edges.
     "fieldprod13-edges": (CONSTRUCTION, "field_product_graph(13).graph.edges",
-                          lambda: _fresh_product_edges(13)),
+                          lambda: _product_edges(13)),
     # 119 vertices, 136,880 edges: what a host holds per edge.
     "host-barrier6059": (CONSTRUCTION, "barrier_graph(60, 59)",
                          lambda: {"edges": barrier_graph(60, 59).graph.edge_count}),
     # 192 vertices: the barrier(97, 95) edges and the mirrored ones of GF(11).
     "host-fortified979511": (CONSTRUCTION, "fortified_barrier(97, 95, 11)",
-                             lambda: {"edges": _fresh_fortified(97, 95, 11).graph.edge_count}),
+                             lambda: {"edges": fortified_barrier(97, 95, 11).graph.edge_count}),
+    # 61,731 edge lines, 41,154 of them distinct: what sorting one list
+    # costs on input that arrives in no order.
+    "host-shuffled80": (CONSTRUCTION, "build(3, 80, <random n=80 p=0.5 seed 0, every second edge"
+                                      " twice, shuffled by random.Random(1), vertices reversed>)",
+                        lambda: {"edges": build(3, 80, _shuffled80()).edge_count}),
     "cli-import": (IMPORT, 'python -c "import hypertile.cli"', _cli_import),
     "cli-command": (PROCESS, f"python -m hypertile.cli probe connectors <{RANDOM14}>"
                              " --pattern <K(1,1,1)> -x 0 -y 1 -i 1",
@@ -527,7 +527,8 @@ ROWS = {
 
 # Rows whose untimed run also traces the memory of one call: name: call.
 HELD = {"host-barrier6059": lambda: barrier_graph(60, 59),
-        "host-fortified979511": lambda: _fresh_fortified(97, 95, 11),
+        "host-fortified979511": lambda: fortified_barrier(97, 95, 11),
+        "host-shuffled80": lambda: build(3, 80, _shuffled80()),
         "twins-barrier9795": ROWS["twins-barrier9795"][2],
         "twins-random100": ROWS["twins-random100"][2]}
 

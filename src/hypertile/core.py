@@ -3,7 +3,10 @@
 Vertices are the integers 0..n-1.  Edges are stored once, as sorted tuples in
 lexicographic order, so equality, hashing, iteration, and file output are all
 deterministic; `edge_set()` builds a frozenset on call, as keeping one would
-double a large host's memory.  Counts are exact integers, never floats.
+double a large host's memory.  Every edge source takes one path in: one list,
+sorted in place, adjacent repeats dropped, no set.  Timsort is linear on a
+builder's sorted stream and merges the two sorted runs of `with_edges` and
+`fortified_barrier` in linear time.  Counts are exact integers, never floats.
 
 The structure queries that the solver's plans and searches read live here
 too: whether a graph is complete partite (`_partite_parts`, from each
@@ -44,7 +47,8 @@ def vertex_set(vertices: Iterable[int]) -> VertexSet:
 
 class Hypergraph:
     """Immutable k-uniform hypergraph on vertices 0..n-1, k >= 2.  It holds its edges
-    once: a kept frozenset would double its memory, so `edge_set()` builds one per call."""
+    once: a kept frozenset would double its memory, so `edge_set()` builds one per call.
+    Its one constructor sorts one edge list in place, so a build peaks near that."""
 
     __slots__ = ("k", "n", "edges", "_hash")
 
@@ -53,7 +57,7 @@ class Hypergraph:
             raise ValidationError(f"uniformity must be at least 2, got {k}")
         if n < 0:
             raise ValidationError(f"vertex count must be nonnegative, got {n}")
-        canon: set[Edge] = set()
+        canon: list[Edge] = []
         for idx, raw in enumerate(edges):
             e = tuple(sorted(raw))
             if len(e) != k:
@@ -62,10 +66,12 @@ class Hypergraph:
                 raise ValidationError(f"edge {idx}: repeated vertex in {e}")
             if e[0] < 0 or e[-1] >= n:
                 raise ValidationError(f"edge {idx}: vertex out of range 0..{n - 1} in {e}")
-            canon.add(e)
+            canon.append(e)
+        canon.sort()
         self.k = k
         self.n = n
-        self.edges: tuple[Edge, ...] = tuple(sorted(canon))
+        self.edges: tuple[Edge, ...] = tuple(
+            e for i, e in enumerate(canon) if not i or e != canon[i - 1])
         self._hash: int | None = None
 
     # -- basic queries -------------------------------------------------
@@ -152,7 +158,7 @@ class Hypergraph:
         self._check_vertices(u)
         uu = set(u)
         new_id = {v: i for i, v in enumerate(u)}
-        edges = [tuple(new_id[v] for v in e) for e in self.edges if uu.issuperset(e)]
+        edges = (tuple(new_id[v] for v in e) for e in self.edges if uu.issuperset(e))
         return RelabeledGraph(Hypergraph(self.k, len(u), edges), u)
 
     def _check_vertices(self, vs: Iterable[int]) -> None:

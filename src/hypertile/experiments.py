@@ -74,8 +74,7 @@ def random_hypergraph(rng: random.Random, k: int, n: int, p: float) -> Hypergrap
     Candidate k-sets are visited in lexicographic order, so a seeded rng
     reproduces the same graph on every run.
     """
-    edges = [e for e in itertools.combinations(range(n), k) if rng.random() < p]
-    return build(k, n, edges)
+    return build(k, n, (e for e in itertools.combinations(range(n), k) if rng.random() < p))
 
 
 # -- independent brute-force checks used by the battery ----------------------
@@ -321,7 +320,7 @@ def _claim_composite_factor_free(budget: int | None) -> tuple[bool, dict]:
         a_side = set(c.part("A"))
         outcome = has_perfect_tiling(g, pattern, budget=budget)
         mirrored_part = build(
-            3, g.n, [e for e in g.edges if sum(1 for v in e if v in a_side) == 2])
+            3, g.n, (e for e in g.edges if sum(1 for v in e if v in a_side) == 2))
         part_free = contains_copy(mirrored_part, free_pattern) is None
         per_params[f"{a},{b},{q}"] = {
             "vertices": g.n,
@@ -452,7 +451,7 @@ def _claim_probe_exactness(seed: int, budget: int | None) -> tuple[bool, dict]:
         wider = host.with_edges(extra.edges)
         labels = classify_goodness(host, wider, Fraction(1, 100))
         difference = build(
-            3, n, [e for e in wider.edges if not host.has_edge(e)])
+            3, n, (e for e in wider.edges if not host.has_edge(e)))
         threshold = Fraction(1, 100) * n ** 2
         for v in range(n):
             direct = difference.degree((v,)) if n else 0

@@ -645,7 +645,6 @@ def verify_certificate(host: Hypergraph, pattern: Hypergraph,
         _check_pair(host, pattern)
     except ValidationError:
         return False
-    edge_set = host.edge_set()
     seen: set[int] = set()
     for emb in certificate.embeddings:
         if len(emb.images) != pattern.n:
@@ -654,8 +653,7 @@ def verify_certificate(host: Hypergraph, pattern: Hypergraph,
             return False
         if any(v < 0 or v >= host.n for v in emb.images):
             return False
-        if any(tuple(sorted(emb.images[u] for u in e)) not in edge_set
-               for e in pattern.edges):
+        if not all(host.has_edge(emb.images[u] for u in e) for e in pattern.edges):
             return False
         if seen.intersection(emb.images):
             return False

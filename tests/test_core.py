@@ -60,12 +60,27 @@ def unsorted_edge_lists(draw):
     return k, n, [draw(st.permutations(e)) for e in draw(st.permutations(picks))]
 
 
+# The inputs the builders and `with_edges` hand over: a sorted stream with
+# adjacent repeats, two overlapping sorted runs, the empty stream, one edge.
+SORTED_STREAMS = (
+    (3, 6, [(0, 1, 2), (0, 1, 2), (0, 1, 3), (1, 2, 4), (1, 2, 4), (1, 2, 4), (3, 4, 5)]),
+    (3, 6, [(0, 1, 2), (0, 2, 4), (1, 3, 5), (0, 1, 2), (0, 2, 3), (1, 3, 5), (2, 3, 4)]),
+    (3, 6, []),
+    (3, 6, [(4, 2, 0)]),
+)
+
+
 @given(unsorted_edge_lists(), st.data())
 def test_edges_stored_once_answer_as_a_frozenset_would(case, data):
-    k, n, raw = case
+    for stream in (case, *SORTED_STREAMS):
+        _check_stored_once(*stream, data)
+
+
+def _check_stored_once(k, n, raw, data):
     oracle = frozenset(tuple(sorted(e)) for e in raw)
-    g = build(k, n, raw)
+    g = build(k, n, iter(raw))
     assert Hypergraph.__slots__ == ("k", "n", "edges", "_hash")
+    assert g.edges == tuple(sorted(oracle))
     assert g.edge_set() == oracle and isinstance(g.edge_set(), frozenset)
     for s in itertools.combinations(range(n), k):
         assert g.has_edge(s) == g.has_edge(s[::-1]) == (s in oracle)

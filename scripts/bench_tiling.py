@@ -26,6 +26,10 @@ the embedder's leaf received (`solver._place`, wrapped by this script), and
 `copy_sets`, the distinct vertex sets they span, summed over the searches
 of one untimed run, so a speed-up of the enumeration reads as fewer
 embeddings per copy set or as cheaper ones.
+Tiling, copy-search and enumeration rows give `link_lookups`, the host link
+lookups that the embedder made (`solver._links` handing out a counting
+dict), summed over one more untimed run, so a speed-up of the embedder
+reads as fewer lookups or as cheaper ones.
 The "verify checkers" rows time searches of `hypertile verify` and give
 `search_nodes` in place of the split: the calls of `place` (the C4-free
 branch and bound in `experiments.py`), counted the same way in an untimed
@@ -40,11 +44,14 @@ ones builds the host and its link table (`core._links`), which the search
 reads, and one more traces the search with `tracemalloc` and adds
 `held_kb` and `peak_kb` beside the answer, as the construction row does.
 Their answer is the class sizes.
-The "copy search" row times one `contains_copy` and the "enumeration" rows
-the copy-set enumerations of the barrier-parity claim of `hypertile
-verify`, of K(7,7,7) in itself and of K(3,5,7) in K(4,6,8); an untimed run
-before the timed ones builds their hosts and compiles the pattern's plan.
-The copy search reuses the host's link table from that run; the 60 parity
+The "copy search" rows time one `contains_copy` each, K(1,2,2) in
+`field_product_graph(11)` and `(13)` and in the A-A-B class of
+`fortified_barrier(97, 95, 11)` (its edges with two vertices in A), and
+the "enumeration" rows the copy-set enumerations of the barrier-parity
+claim of `hypertile verify`, of K(7,7,7) in itself and of K(3,5,7) in
+K(4,6,8); an untimed run before the timed ones builds their hosts and
+compiles the pattern's plan.
+The copy searches reuse the host's link table from that run; the 60 parity
 hosts outnumber the link tables the solver keeps, so each enumeration
 builds its own.
 The "degree queries" row times one `min_s_degree(2)` with the solver's
@@ -339,6 +346,32 @@ def _twin_class_sizes(host):
     return {"class_sizes": [c.bit_count() for c in search(host)]}
 
 
+@functools.lru_cache(maxsize=None)
+def _aab_host(a: int, b: int, q: int):
+    """The A-A-B class of fortified_barrier(a, b, q): its edges with two
+    vertices in A, the first a vertices."""
+    g = fortified_barrier(a, b, q).graph
+    return build(3, g.n, (e for e in g.edges if sum(v < a for v in e) == 2))
+
+
+def _link_lookups(run) -> int:
+    """The embedder's host link lookups during one run()."""
+    links, lookups = solver._links, 0
+
+    class Counted(dict):
+        def get(self, key, default=None):
+            nonlocal lookups
+            lookups += 1
+            return super().get(key, default)
+
+    solver._links = lambda host: Counted(links(host))
+    try:
+        run()
+    finally:
+        solver._links = links
+    return lookups
+
+
 def _leaf_counts(run) -> dict:
     """One run() with the leaf of every embedder search wrapped: the leaf
     candidates reached (`embeddings`) and, per search, the distinct vertex
@@ -475,6 +508,13 @@ ROWS = {
     # the embedder: the product-graph-free and barrier-parity claims.
     "fieldprod11-k122": (COPY_SEARCH, "contains_copy(field_product_graph(11), complete_k_partite((1, 2, 2)))",
                          lambda: {"copy": solver.contains_copy(_field_product_host(11), K122)}),
+    # 144 vertices, 37,224 edges.
+    "fieldprod13-k122": (COPY_SEARCH, "contains_copy(field_product_graph(13), complete_k_partite((1, 2, 2)))",
+                         lambda: {"copy": solver.contains_copy(_field_product_host(13), K122)}),
+    # n = 192: the K(1,2,2)-freeness check at the paper's first order.
+    "aab979511-k122": (COPY_SEARCH, "contains_copy(<the A-A-B class of fortified_barrier(97, 95, 11)>,"
+                                    " complete_k_partite((1, 2, 2)))",
+                       lambda: {"copy": solver.contains_copy(_aab_host(97, 95, 11), K122)}),
     "parity-kst322": (ENUMERATION, "enumerate_copy_sets(barrier_graph(a, b), k_st(3, 2, 2))"
                                    " over the barrier-parity claim's 60 hosts",
                       lambda: _parity_sets(_parity_hosts())),
@@ -661,6 +701,8 @@ def measure(name: str, repeat: int) -> dict:
     if layer not in (PLAN, *PREPARED):
         best["cover_calls"] = _search_calls(run)
         leaves = _leaf_counts(run)
+    if layer in ("tiling", COPY_SEARCH, ENUMERATION):
+        best["link_lookups"] = _link_lookups(run)
     return {**best, **held, **(leaves or {}), **_package_meta()}
 
 

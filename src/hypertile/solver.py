@@ -21,17 +21,19 @@ ANDed with the host's link bitset of every (k-1)-set it closes, and twins
 and equal blocks (parts of equal size, leaf groups) take increasing images.
 Candidates are tried in increasing order, so embeddings come in
 lexicographic order, read in the placement order.  A position stops once
-fewer candidates are left than the rest of its twin class needs (its
-room), which cuts only empty subtrees.  Each pattern's plan is
-compiled once into nested loops, one per position, and each link lookup
-sits at the depth where its (k-1)-set's last vertex lands, so it is made
-once for all the positions that close the set.  `contains_copy` returns
-the first one.  Copy-set enumeration runs the embedder to every solution
-and keeps each vertex set with the first embedding that reaches it as its
+fewer candidates are left than the rest of its twin class needs (its room),
+which cuts only empty subtrees.  Each pattern's plan is compiled once into
+nested loops, one per position, and each link lookup sits at the depth where
+its (k-1)-set's last vertex lands, so it is made once for all the positions
+that close the set.  A forward check drops the second-to-last position's
+candidates that no image of the last one completes to an edge; no embedding
+is lost, also when the two are twins (`_compile`).  `contains_copy` returns
+the first one.  Copy-set enumeration runs the embedder to every solution and
+keeps each vertex set with the first embedding that reaches it as its
 witness, built when it is read, so a search that returns no copy builds
 none.  On a host with twins it also gives positions whose images share a
-host twin class increasing images, which the first embedding onto each
-set obeys (`_copy_masks`), so it reaches a set through fewer embeddings.
+host twin class increasing images, which the first embedding onto each set
+obeys (`_copy_masks`), so it reaches a set through fewer embeddings.
 
 Tilings are searched over one table of the host's copy sets: each set's
 vertex bitmask and, per vertex, a column: the bitset of the sets through
@@ -199,7 +201,13 @@ def _compile(order: Sequence[int], edges: Sequence[VertexSet], twin: Sequence[in
     inline.  One function holds at most _LOOPS_PER_KERNEL loops: the
     innermost calls the next, `kernel{i}`, with the free mask, the placed
     bits and the pending masks.  The source holds only integers from the
-    plan.
+    plan.  Before the loop of the second-to-last position p, when the last
+    one q has a pending mask and closes an edge S + p + q with S placed, a
+    forward check keeps p's candidates in the link of S + w for a possible
+    image w of q (free, in q's mask, above a placed twin bound), looking w
+    up until they cover `c{p}`.  Every embedding puts q at such a w, and if
+    q is p's twin, the swap of the two puts p's image in q's mask, so the
+    room test at p stays exact.
 
     With `sort_host_twins` the kernel takes `keep` (`_host_keep`) after
     `everything`, and placing b leaves `f & keep[b]`, which also drops b's
@@ -224,6 +232,13 @@ def _compile(order: Sequence[int], edges: Sequence[VertexSet], twin: Sequence[in
         if twin[p] >= 0:
             terms.append(f"-(b{twin[p]} << 1)")
         src.append(f"{pad}c{p} = {' & '.join(terms)}")
+        shared = [at[:-1] for at, targets in closing[p].items() if last in targets]
+        if p == last - 1 and shared and last in pending:
+            bound = f" & -(b{twin[last]} << 1)" if 0 <= twin[last] < p else ""
+            key = "".join(f"b{j} | " for j in shared[0])
+            src += [f"{pad}r = c{p}", f"{pad}w = f{p} & {pending[last]}{bound}",
+                    f"{pad}while r and w:", f"{pad}    x = w & -w", f"{pad}    w ^= x",
+                    f"{pad}    r &= ~link({key}x, 0)", f"{pad}c{p} ^= r"]
         if p == last:
             used = (f"everything ^ f{p}" if not sort_host_twins
                     else f"placed | b{p - 1}" if p else "0")

@@ -16,6 +16,7 @@ from hypertile import (
     complete_k_partite,
     contains_copy,
     enumerate_copy_sets,
+    field_product_graph,
     has_perfect_tiling,
     k_st,
     max_tiling,
@@ -672,6 +673,13 @@ def _reached(host, pattern, sort_host_twins=False):
 @settings(max_examples=100)
 @example(K122, 1, 1.0, 0)
 @example(k_st(3, 2, 3).graph, 0, 0.9, 1)
+# The last position's forward check drops candidates of the one before it:
+# K(1,2,2), K(2,2) (k = 2), three edges on four vertices whose last two
+# positions are twins in a common edge (room 2), and K(1,1,2,2) (k = 4).
+@example(K122, 2, 0.5, 0)
+@example(complete_k_partite((2, 2)).graph, 2, 0.5, 4)
+@example(build(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]), 2, 0.5, 1)
+@example(complete_k_partite((1, 1, 2, 2)).graph, 1, 0.5, 1)
 @given(pattern=blow_ups(max_n=6) | hypergraphs(k=2, max_n=6) | hypergraphs(max_n=6)
        | hypergraphs(k=4, max_n=6),
        extra=st.integers(0, 2), p=st.sampled_from((0.5, 0.8, 1.0)),
@@ -702,6 +710,7 @@ def _assert_oracle_answers(host, pattern):
 
 EIGHT_TRIPLES = build(3, 24, [(i, i + 1, i + 2) for i in range(0, 24, 3)])
 K777 = complete_k_partite((7, 7, 7)).graph
+K677 = complete_k_partite((6, 7, 7)).graph
 KST2_10 = k_st(3, 2, 10).graph
 
 
@@ -748,12 +757,14 @@ def test_host_twins_reach_each_copy_set_once(monkeypatch):
 
 # (pattern, host, copy, copy sets): past 19 positions the search goes on in
 # a second compiled function; the answers are those of the interpreted
-# search it replaced
+# search it replaced.  K(6,7,7) has 20 positions, all in the first function,
+# whose deepest block holds the loop of the last position's forward check.
 DEEP_CASES = [
     (EIGHT_TRIPLES, _shuffled(EIGHT_TRIPLES, 1),
      (0, 6, 7, 1, 16, 19, 2, 4, 18, 3, 8, 15, 5, 9, 10, 11, 20, 23, 12, 14, 22, 13, 17, 21),
      1),
     (K777, K777, tuple(range(21)), 1),
+    (K677, K677, tuple(range(20)), 1),
     # Twin bounds placed in the first function and read in the second: K(7,7,7)
     # places positions 19 and 20 above 16 and 17, and K_{2,10} places both
     # above 18.  The K(7,7,8) copy is `oracles.pruned_ordered_embeddings`'
@@ -769,7 +780,7 @@ DEEP_CASES = [
 
 
 @pytest.mark.parametrize("pattern, host, copy, count", DEEP_CASES,
-                         ids=["eight-triples", "k777", "k777-in-k778", "kst2-10-in-kst2-11"])
+                         ids=["eight-triples", "k777", "k677", "k777-in-k778", "kst2-10-in-kst2-11"])
 def test_plans_past_the_nesting_limit(pattern, host, copy, count):
     assert contains_copy(host, pattern).images == copy
     enum = enumerate_copy_sets(host, pattern)
@@ -781,7 +792,7 @@ def test_twin_rich_deep_cases_take_the_host_sorted_kernel(monkeypatch):
     sorted_kernel, compiled = solver._sorted_kernel, []
     monkeypatch.setattr(solver, "_sorted_kernel",
                         lambda pattern: compiled.append(pattern) or sorted_kernel(pattern))
-    for pattern, host, copy, count in DEEP_CASES[2:]:
+    for pattern, host, copy, count in DEEP_CASES[3:]:
         enum = enumerate_copy_sets(host, pattern)
         assert (len(enum.sets), enum.witnesses[enum.sets[0]].images) == (count, copy)
     assert compiled == [K777, KST2_10]
@@ -916,22 +927,37 @@ def test_room_cut_keeps_the_oracle_answers(case):
     _assert_oracle_answers(host, pattern)
 
 
-def test_room_cut_ends_k777_early(monkeypatch):
-    # The cut changes no answer, so count the link lookups: without it the
-    # embedder tries every image of a part's first vertex to the last round.
-    links = solver._links
+def _count_lookups(monkeypatch):
+    """A one-item list that counts the embedder's link lookups from now on."""
+    links, lookups = solver._links, [0]
 
     class Counted(dict):
-        lookups = 0
-
         def get(self, key, default=None):
-            Counted.lookups += 1
+            lookups[0] += 1
             return super().get(key, default)
 
     monkeypatch.setattr(solver, "_links", lambda host: Counted(links(host)))
+    return lookups
+
+
+def test_room_cut_ends_k777_early(monkeypatch):
+    # The cut changes no answer, so count the link lookups: without it the
+    # embedder tries every image of a part's first vertex to the last round.
+    lookups = _count_lookups(monkeypatch)
     assert len(enumerate_copy_sets(K777, K777).sets) == 1
-    # 339 lookups, against 1,881,516 with no cut; the bound is 1.1 times the count
-    assert Counted.lookups <= 372
+    # 340 lookups, against 1,881,516 with no cut; the bound is 1.1 times the
+    # count at the time the cut came in (339)
+    assert lookups[0] <= 372
+
+
+def test_forward_check_cuts_k122_lookups(monkeypatch):
+    # The check changes no answer, so count the link lookups: without it each
+    # image of the second-to-last position pays a lookup, only to find that
+    # the last position has no candidate.
+    lookups = _count_lookups(monkeypatch)
+    assert contains_copy(field_product_graph(7).graph, K122) is None
+    # 6,563 lookups, against 8,555 with no check; the bound is 1.1 times the count
+    assert lookups[0] <= 7219
 
 
 @given(st.integers(2, 4).flatmap(lambda k: hypergraphs(k=k, max_n=7)))
